@@ -64,15 +64,14 @@ fn replay(
             ..ServerConfig::default()
         },
     );
-    let mut agg = ServeStats::default();
+    let mut outs = Vec::with_capacity(traffic.len());
     let mut repaired = 0usize;
     for batch in traffic {
         let report = server.apply_updates(&batch.updates).expect("updates");
         repaired += report.repaired;
-        let out = server.run_batch(&batch.queries);
-        agg.merge(&out.stats);
+        outs.push(server.run_batch(&batch.queries));
     }
-    (agg, repaired)
+    (ServeStats::from_batches(&outs), repaired)
 }
 
 fn json_row(threads: usize, n: usize, mode: &str, workload: &str, stats: &ServeStats) -> String {
@@ -285,27 +284,23 @@ fn main() {
     // gated). The deep shard matrix lives in `shard_scaling`
     // (BENCH_shard.json).
     {
-        use gir_shard::{Placement, ShardedGirServer, ShardedServerConfig};
-        let server = ShardedGirServer::build(
-            d,
-            &base_data,
+        use gir_shard::{Placement, ShardedDataset, ShardedGirServer};
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(d, &base_data, 4, Placement::Hash).expect("sharded build"),
             ScoringFunction::linear(d),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: mix_threads,
-                data_shards: 4,
-                placement: Placement::Hash,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .expect("sharded build");
-        let mut agg = ServeStats::default();
+        );
+        let mut outs = Vec::with_capacity(mix_traffic.len());
         let mut repaired = 0usize;
         for batch in &mix_traffic {
             let report = server.apply_updates(&batch.updates).expect("updates");
             repaired += report.repaired;
-            let out = server.run_batch(&batch.queries);
-            agg.merge(&out.stats);
+            outs.push(server.run_batch(&batch.queries));
         }
+        let agg = ServeStats::from_batches(&outs);
         mix_table.row(vec![
             "sharded".to_string(),
             format!("{:.0}", agg.qps),

@@ -43,7 +43,7 @@ use gir_datagen::{sharded_synthetic, synthetic, Distribution, ShardSkew};
 use gir_query::{QueryVector, ScoringFunction};
 use gir_rtree::{RTree, Record};
 use gir_serve::{mixed_workload, GirServer, ServeStats, ServerConfig, WorkloadConfig};
-use gir_shard::{Placement, ShardedDataset, ShardedGirServer, ShardedServerConfig};
+use gir_shard::{Placement, ShardedDataset, ShardedGirServer};
 use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
 use std::io::Write;
 use std::sync::Arc;
@@ -84,25 +84,22 @@ fn replay_sharded(
     placement: Placement,
     traffic: &[gir_serve::TrafficBatch],
 ) -> ServeStats {
-    let server = ShardedGirServer::build(
-        d,
-        data,
+    let server = ShardedGirServer::new(
+        ShardedDataset::build(d, data, shards, placement).expect("sharded build"),
         ScoringFunction::linear(d),
-        ShardedServerConfig {
+        ServerConfig {
             threads: 1,
-            data_shards: shards,
-            placement,
-            ..ShardedServerConfig::default()
+            ..ServerConfig::default()
         },
-    )
-    .expect("sharded build");
-    let mut agg = ServeStats::default();
-    for batch in traffic {
-        server.apply_updates(&batch.updates).expect("updates");
-        let out = server.run_batch(&batch.queries);
-        agg.merge(&out.stats);
-    }
-    agg
+    );
+    let outs: Vec<_> = traffic
+        .iter()
+        .map(|batch| {
+            server.apply_updates(&batch.updates).expect("updates");
+            server.run_batch(&batch.queries)
+        })
+        .collect();
+    ServeStats::from_batches(&outs)
 }
 
 /// Replays `traffic` against a fresh single-tree server (the oracle
@@ -118,13 +115,14 @@ fn replay_single(data: &[Record], d: usize, traffic: &[gir_serve::TrafficBatch])
             ..ServerConfig::default()
         },
     );
-    let mut agg = ServeStats::default();
-    for batch in traffic {
-        server.apply_updates(&batch.updates).expect("updates");
-        let out = server.run_batch(&batch.queries);
-        agg.merge(&out.stats);
-    }
-    agg
+    let outs: Vec<_> = traffic
+        .iter()
+        .map(|batch| {
+            server.apply_updates(&batch.updates).expect("updates");
+            server.run_batch(&batch.queries)
+        })
+        .collect();
+    ServeStats::from_batches(&outs)
 }
 
 fn json_row(

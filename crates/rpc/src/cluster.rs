@@ -63,7 +63,7 @@ pub struct RemoteConfig {
     pub retries: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub backoff: Duration,
-    /// Snapshot cut cadence, in applied batches.
+    /// Snapshot cut cadence, in applied batches (at least 1).
     pub snapshot_every: u64,
 }
 
@@ -152,6 +152,8 @@ pub struct RemoteShards {
     snap_epoch: AtomicU64,
     /// Live records across all shards (owner outcomes keep it exact).
     records: AtomicU64,
+    /// Snapshot rolls that failed (non-fatal; see [`Self::apply`]).
+    snapshot_failures: AtomicU64,
     counters: RpcCounters,
 }
 
@@ -171,6 +173,7 @@ impl RemoteShards {
         factory: EndpointFactory,
     ) -> Result<RemoteShards, ClusterError> {
         assert!(num_shards >= 1, "need at least one shard");
+        assert!(cfg.snapshot_every >= 1, "snapshot_every must be at least 1");
         let dim = scoring.dim();
         let mut parts: Vec<Vec<Record>> = vec![Vec::new(); num_shards];
         for rec in records {
@@ -201,6 +204,7 @@ impl RemoteShards {
             epoch: AtomicU64::new(0),
             snap_epoch: AtomicU64::new(0),
             records: AtomicU64::new(records.len() as u64),
+            snapshot_failures: AtomicU64::new(0),
             counters: RpcCounters::global(),
         };
         for (s, part) in parts.into_iter().enumerate() {
@@ -345,6 +349,13 @@ impl RemoteShards {
         self.records.load(Ordering::SeqCst)
     }
 
+    /// Snapshot rolls that failed since launch. Each is non-fatal: the
+    /// WAL still replays from the previous snapshot, and the roll is
+    /// retried at the next `snapshot_every` boundary.
+    pub fn snapshot_failures(&self) -> u64 {
+        self.snapshot_failures.load(Ordering::SeqCst)
+    }
+
     /// Restarts shard `s` from the newest snapshot plus the WAL suffix
     /// — the delta-stream catch-up of the PR 8 durability contract.
     ///
@@ -410,6 +421,11 @@ impl RemoteShards {
     /// server even after a kill (the in-process dataset never loses a
     /// shard, so the distributed one catches the shard up before
     /// consulting it).
+    ///
+    /// Returns `Err` only when nothing was applied (the up-front rejoin
+    /// or the WAL append failed): once the batch is in the WAL, shard
+    /// failures are absorbed by inline rejoins and a failed snapshot
+    /// roll is counted ([`Self::snapshot_failures`]), not returned.
     pub fn apply(&self, updates: &[Update]) -> Result<ClusterApply, ClusterError> {
         self.rejoin_dead()?;
         let wal_batch = wal_batch_from_updates(updates);
@@ -494,11 +510,17 @@ impl RemoteShards {
         self.records
             .fetch_sub(report.deleted as u64, Ordering::SeqCst);
         // A snapshot cut needs every worker live; with a shard still
-        // dead (its inline rejoin failed above) skip the roll — safe,
-        // because the WAL is never rotated, so the previous snapshot
-        // still seeds any replay.
+        // dead (its inline rejoin failed above) skip the roll. Skipping
+        // or failing it is safe: the WAL is never rotated, so the
+        // previous snapshot still seeds any replay, and the roll is
+        // retried at the next boundary. The batch is applied either
+        // way, so a failed roll must not fail the apply — the caller
+        // would skip reconciling its cache with a batch that landed.
         if epoch % self.cfg.snapshot_every == 0 && self.dead_shards().is_empty() {
-            self.roll_snapshot(epoch)?;
+            if let Err(e) = self.roll_snapshot(epoch) {
+                let total = self.snapshot_failures.fetch_add(1, Ordering::SeqCst) + 1;
+                tracing::event!("snapshot_failed", total = total, error = e.to_string());
+            }
         }
         Ok(ClusterApply {
             report,

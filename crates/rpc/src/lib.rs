@@ -20,8 +20,9 @@
 //! * [`cluster`] — [`RemoteShards`]: the coordinator's merge layer,
 //!   WAL-backed update broadcast, consistent snapshot cuts, and
 //!   snapshot + WAL-suffix rejoin for restarted workers.
-//! * [`server`] — [`DistributedGirServer`]: `gir_serve`'s cache-first
-//!   executor with RPC misses and worker-side repair sweeps.
+//! * [`server`] — [`RemoteShards`] as a `gir_serve::Backend`, and
+//!   [`DistributedGirServer`]: the one serve loop over it, with RPC
+//!   misses and worker-side repair sweeps.
 //!
 //! The headline proof (`tests/rpc_differential.rs`) pins the
 //! distributed plan bit-for-bit equal to the in-process

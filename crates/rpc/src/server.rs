@@ -1,39 +1,36 @@
-//! The distributed serving layer: `gir_serve`'s executor pattern with
-//! [`RemoteShards`] as the dataset.
+//! The distributed serving layer: [`RemoteShards`] as a
+//! [`gir_serve::Backend`] of the one serve loop.
 //!
-//! [`DistributedGirServer`] is the drop-in distributed twin of
-//! `gir_shard::ShardedGirServer`: the same keyed region cache
-//! ([`ShardedGirCache`]) probes first, misses fan out — here as RPCs to
-//! shard workers instead of in-process pool tasks — and updates run the
+//! [`DistributedGirServer`] is `gir_serve::Server` over the cluster —
+//! the same keyed region cache probes first, misses fan out as RPCs to
+//! shard workers instead of in-process pool tasks, and updates run the
 //! same `DeltaBatch` cache reconciliation, with FP repair sweeps
 //! executed worker-side through the [`gir_shard::RepairSweeps`] seam.
+//! The newtype adds only the cluster's lifecycle: launch, shutdown and
+//! rejoin.
 //!
 //! Failure semantics (the PR 4 contract, extended across the wire): a
 //! dead or hung worker fails only the requests that needed it — each
 //! such `TopKResponse` comes back `failed: true` with the shard and
 //! reason in `error`, while the rest of the batch serves normally.
 //! A killed worker stays dead until [`DistributedGirServer::rejoin_dead`]
-//! restores it from snapshot + WAL replay; fresh queries then succeed
-//! again (pinned by `tests/rpc_differential.rs` and `tests/rpc_faults.rs`).
+//! (or the next update batch) restores it from snapshot + WAL replay;
+//! fresh queries then succeed again (pinned by
+//! `tests/rpc_differential.rs` and `tests/rpc_faults.rs`).
 
 use crate::cluster::{ClusterApply, ClusterError, EndpointFactory, RemoteConfig, RemoteShards};
-use gir_core::{CacheKey, GirError, GirOutput, Method, RegionKind};
+use gir_core::{GirError, GirOutput, GirRegion, Method, RegionKind, RepairRequest};
 use gir_query::{QueryVector, Record, ScoringFunction};
 use gir_rtree::RTreeError;
-use gir_serve::{
-    compute_response, execute_batch, BatchResult, CacheStats, ShardedGirCache, TopKRequest,
-    TopKResponse, Update, UpdateReport,
+use gir_serve::{Applied, Backend, MissContext, Server, ServerConfig, TopKRequest, Update};
+use gir_shard::{
+    repair_region_sharded_with, repair_region_star_sharded_with, Placement, RemovedOwners,
 };
-use gir_shard::{repair_region_sharded_with, repair_region_star_sharded_with, Placement};
 use gir_storage::StorageError;
-use std::sync::{PoisonError, RwLock};
-use std::time::Instant;
 
 /// Distributed-server configuration.
 #[derive(Debug, Clone)]
 pub struct DistributedServerConfig {
-    /// Worker threads per batch on the coordinator (clamped to ≥ 1).
-    pub threads: usize,
     /// Shard workers to launch.
     pub data_shards: usize,
     /// Record-to-shard placement policy.
@@ -52,7 +49,6 @@ pub struct DistributedServerConfig {
 impl Default for DistributedServerConfig {
     fn default() -> Self {
         DistributedServerConfig {
-            threads: 1,
             data_shards: 4,
             placement: Placement::Hash,
             cache_shards: 16,
@@ -63,24 +59,99 @@ impl Default for DistributedServerConfig {
     }
 }
 
-/// A GIR serving engine whose shards are RPC workers.
-pub struct DistributedGirServer {
-    cluster: RwLock<RemoteShards>,
-    cache: ShardedGirCache,
-    scoring: ScoringFunction,
-    cfg: DistributedServerConfig,
+/// Maps a cluster failure into the serve loop's error type. A transport
+/// or worker failure is transient — the shard rejoins — so it surfaces
+/// as I/O, never as [`StorageError::Corrupt`], which claims the data
+/// itself cannot be trusted.
+fn cluster_err_to_rtree(e: ClusterError) -> RTreeError {
+    RTreeError::Storage(match e {
+        ClusterError::Storage(se) => se,
+        ClusterError::Rpc { .. } => StorageError::Io(std::io::Error::other(e.to_string())),
+        ClusterError::Wire(_) => StorageError::Corrupt(e.to_string()),
+    })
 }
 
-fn cluster_err_to_rtree(e: ClusterError) -> RTreeError {
-    match e {
-        ClusterError::Storage(se) => RTreeError::Storage(se),
-        other => RTreeError::Storage(StorageError::Corrupt(other.to_string())),
+impl Backend for RemoteShards {
+    type Repair = RemovedOwners;
+
+    fn dim(&self) -> usize {
+        self.scoring().dim()
+    }
+
+    fn num_records(&self) -> u64 {
+        self.records()
+    }
+
+    /// There is no planner choice here: with workers across a transport
+    /// the only feasible plan is the distributed fan-out, so the span
+    /// records the path directly.
+    fn miss(
+        &self,
+        cx: &MissContext<'_>,
+        q: &QueryVector,
+        req: &TopKRequest,
+    ) -> Result<GirOutput, GirError> {
+        let _compute_span =
+            tracing::span!("compute", method = cx.method.label(), path = "distributed");
+        self.region(req.kind, q, req.k, cx.method)
+    }
+
+    /// Rejoin-then-broadcast ([`RemoteShards::apply`]). Once the batch
+    /// is in the WAL the broadcast never aborts, so an error here means
+    /// nothing was applied.
+    fn apply(&mut self, updates: &[Update]) -> Applied<RemovedOwners> {
+        match RemoteShards::apply(self, updates) {
+            Ok(ClusterApply {
+                report,
+                batch,
+                removed_owner,
+            }) => Applied {
+                batch,
+                report,
+                repair: removed_owner,
+                error: None,
+            },
+            Err(e) => Applied {
+                batch: Default::default(),
+                report: Default::default(),
+                repair: RemovedOwners::new(),
+                error: Some(cluster_err_to_rtree(e)),
+            },
+        }
+    }
+
+    /// The shard-local repair algorithms of `gir_shard`, each sweep one
+    /// RPC to the owning worker.
+    fn repair(&self, removed_owner: &RemovedOwners, req: &RepairRequest<'_>) -> Option<GirRegion> {
+        match req.kind {
+            RegionKind::Gir => repair_region_sharded_with(self, req, removed_owner),
+            RegionKind::GirStar => repair_region_star_sharded_with(self, req, removed_owner),
+        }
+    }
+
+    /// Per-shard records at one verified epoch across every worker.
+    fn cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        self.cut_all().map_err(cluster_err_to_rtree)
+    }
+}
+
+/// A GIR serving engine whose shards are RPC workers: the one serve
+/// loop over [`RemoteShards`], which it dereferences to for serving
+/// (`run_batch`, `apply_updates`, `records_snapshot`, ...).
+pub struct DistributedGirServer(Server<RemoteShards>);
+
+impl std::ops::Deref for DistributedGirServer {
+    type Target = Server<RemoteShards>;
+
+    fn deref(&self) -> &Server<RemoteShards> {
+        &self.0
     }
 }
 
 impl DistributedGirServer {
     /// Launches `data_shards` workers via `factory`, loads them with
     /// the partitioned records, and builds the serving layer on top.
+    /// Batches run sequentially on the coordinator.
     pub fn launch(
         records: &[Record],
         scoring: ScoringFunction,
@@ -92,175 +163,38 @@ impl DistributedGirServer {
             cfg.placement,
             cfg.data_shards,
             records,
-            cfg.remote.clone(),
+            cfg.remote,
             factory,
         )?;
-        let cache = ShardedGirCache::new(cfg.cache_shards, cfg.cache_capacity);
-        Ok(DistributedGirServer {
-            cluster: RwLock::new(cluster),
-            cache,
-            scoring,
-            cfg,
-        })
-    }
-
-    /// The scoring function requests are evaluated under.
-    pub fn scoring(&self) -> &ScoringFunction {
-        &self.scoring
-    }
-
-    /// The effective Phase-2 method (configured, or SP when the
-    /// scoring function is non-linear — §7.2).
-    pub fn method(&self) -> Method {
-        if self.cfg.method.supports(&self.scoring) {
-            self.cfg.method
-        } else {
-            Method::SkylinePruning
-        }
-    }
-
-    /// Aggregated GIR-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let serve = ServerConfig {
+            threads: 1,
+            shards: cfg.cache_shards,
+            shard_capacity: cfg.cache_capacity,
+            method: cfg.method,
+            ..ServerConfig::default()
+        };
+        Ok(DistributedGirServer(Server::new(cluster, scoring, serve)))
     }
 
     /// Shards whose worker is currently dead.
     pub fn dead_shards(&self) -> Vec<usize> {
-        self.read_cluster().dead_shards()
+        self.dataset().dead_shards()
     }
 
     /// Rejoins every dead worker from snapshot + WAL suffix; returns
     /// how many came back.
     pub fn rejoin_dead(&self) -> Result<usize, ClusterError> {
-        self.read_cluster().rejoin_dead()
+        self.dataset().rejoin_dead()
     }
 
-    /// Every live record, gathered through a consistent cut.
-    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
-        let cut = self
-            .read_cluster()
-            .cut_all()
-            .map_err(cluster_err_to_rtree)?;
-        Ok(cut.into_iter().flatten().collect())
+    /// Snapshot rolls that failed since launch (each non-fatal: the WAL
+    /// still replays from the previous snapshot).
+    pub fn snapshot_failures(&self) -> u64 {
+        self.dataset().snapshot_failures()
     }
 
     /// Shuts every worker down.
     pub fn shutdown(&self) {
-        self.read_cluster().shutdown();
-    }
-
-    fn read_cluster(&self) -> std::sync::RwLockReadGuard<'_, RemoteShards> {
-        self.cluster.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Executes a batch of requests on the coordinator pool:
-    /// cache-probe first, RPC fan-out on miss. Responses preserve
-    /// request order; a failed shard degrades only the responses that
-    /// needed it.
-    pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        let method = self.method();
-        // Hold the read lock for the whole batch: updates (write lock)
-        // apply between batches, never inside one.
-        let cluster = self.read_cluster();
-        let cluster_ref: &RemoteShards = &cluster;
-        let work = requests
-            .len()
-            .saturating_mul(cluster_ref.records().max(1) as usize);
-        let out = execute_batch(requests, work, self.cfg.threads, method.label(), |req| {
-            self.serve_one(cluster_ref, req, method)
-        });
-        drop(cluster);
-        out
-    }
-
-    fn serve_one(&self, cluster: &RemoteShards, req: &TopKRequest, method: Method) -> TopKResponse {
-        gir_serve::serve_traced(req, || {
-            let t0 = Instant::now();
-            let key = CacheKey::new(&req.weights, req.k, &self.scoring).kind(req.kind);
-            let lookup_span = tracing::span!("cache_lookup");
-            let found = self.cache.get(&key);
-            drop(lookup_span);
-            if let Some(records) = found {
-                return TopKResponse {
-                    ids: records.iter().map(|r| r.id).collect(),
-                    from_cache: true,
-                    latency_us: t0.elapsed().as_micros() as u64,
-                    failed: false,
-                    pages: 0,
-                    error: None,
-                    explain: None,
-                };
-            }
-            let q = QueryVector::new(req.weights.coords().to_vec());
-            let computed = self.serve_miss(cluster, &q, req, method);
-            compute_response(computed, t0, |out| {
-                let _admit_span = tracing::span!("admit");
-                self.cache.admit(&key, out.region, out.result);
-            })
-        })
-    }
-
-    /// One miss over the cluster. There is no planner choice here: with
-    /// workers across a transport the only feasible plan is the
-    /// distributed fan-out, so the span records the path directly.
-    fn serve_miss(
-        &self,
-        cluster: &RemoteShards,
-        q: &QueryVector,
-        req: &TopKRequest,
-        method: Method,
-    ) -> Result<GirOutput, GirError> {
-        let _compute_span =
-            tracing::span!("compute", method = method.label(), path = "distributed");
-        cluster.region(req.kind, q, req.k, method)
-    }
-
-    /// Applies one update batch: rejoin-then-broadcast on the cluster
-    /// ([`RemoteShards::apply`]), then the same cache reconciliation as
-    /// the in-process servers, with FP repair sweeps running
-    /// worker-side over RPC.
-    pub fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        let cluster = self.cluster.write().unwrap_or_else(PoisonError::into_inner);
-        let ClusterApply {
-            mut report,
-            batch,
-            removed_owner,
-        } = cluster.apply(updates).map_err(cluster_err_to_rtree)?;
-        let cluster_ref: &RemoteShards = &cluster;
-        let outcome = self.cache.apply_batch(&batch, |req| {
-            // FP repair needs linear scoring (§7.2); declining keeps
-            // the entry sound but non-maximal.
-            if !req.scoring.is_linear() {
-                return None;
-            }
-            match req.kind {
-                RegionKind::Gir => repair_region_sharded_with(cluster_ref, req, &removed_owner),
-                RegionKind::GirStar => {
-                    repair_region_star_sharded_with(cluster_ref, req, &removed_owner)
-                }
-            }
-        });
-        report.evicted = outcome.evicted;
-        report.repaired = outcome.repaired;
-        report.shrunk = outcome.shrunk;
-        report.untouched = outcome.untouched;
-        Ok(report)
-    }
-}
-
-/// The durability hooks: the consistent cut gathers per-shard records
-/// at one verified epoch across every worker (updates hold the write
-/// lock, so cuts always land on a `DeltaBatch` boundary).
-impl gir_serve::RecoverableServer for DistributedGirServer {
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        DistributedGirServer::apply_updates(self, updates)
-    }
-
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        DistributedGirServer::run_batch(self, requests)
-    }
-
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
-        self.read_cluster().cut_all().map_err(cluster_err_to_rtree)
+        self.dataset().shutdown();
     }
 }

@@ -1,9 +1,12 @@
 //! Durability tier: WAL-ahead updates, generation snapshots, crash
 //! recovery (ARCHITECTURE.md "Durability").
 //!
-//! [`DurableServer`] wraps any [`RecoverableServer`] (the single-tree
-//! [`GirServer`] or the sharded server in `gir-shard`) and makes its
-//! update stream survive a crash:
+//! [`DurableServer`] wraps a [`Server`] over any [`Backend`] (the
+//! single-tree [`GirServer`] or the sharded server in `gir-shard`) and
+//! makes its update stream survive a crash. It relies on two things the
+//! serve loop guarantees for every backend: `apply_updates` applies a
+//! batch atomically with respect to readers, and
+//! [`Server::consistent_cut`] returns the records at a batch boundary.
 //!
 //! * every update batch is encoded as a [`WalBatch`] and **appended to
 //!   the WAL before it is applied** (write-ahead), with fsync timing
@@ -31,7 +34,7 @@
 //! appends would land in the old generation's WAL, which recovery no
 //! longer reads.
 
-use crate::server::{BatchResult, GirServer, TopKRequest, Update, UpdateReport};
+use crate::server::{Backend, BatchResult, GirServer, Server, TopKRequest, Update, UpdateReport};
 use gir_core::{SnapshotState, WalBatch, WalOp, WireError};
 use gir_query::{Record, ScoringFunction};
 use gir_rtree::{RTree, RTreeError};
@@ -135,48 +138,6 @@ impl RecoveryReport {
     }
 }
 
-/// The contract a server must meet to sit under [`DurableServer`]:
-/// atomic batch application and a consistent dataset cut.
-///
-/// `consistent_cut` must return the records as of a *batch boundary* —
-/// no concurrent `apply_updates` half-applied, and every cache shard's
-/// `ShardScopes` epoch even. Both implementations get this from their
-/// dataset `RwLock`: updates hold the write lock, the cut takes the
-/// read lock.
-pub trait RecoverableServer {
-    /// Applies one update batch atomically.
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError>;
-    /// Serves a query batch (used by [`DurableServer::run_batch`]).
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult;
-    /// Per-shard records at a batch boundary (single-tree servers
-    /// return one shard).
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError>;
-}
-
-impl RecoverableServer for GirServer {
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        GirServer::apply_updates(self, updates)
-    }
-
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        GirServer::run_batch(self, requests)
-    }
-
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
-        // records_snapshot holds the tree's read lock; updates hold the
-        // write lock for apply + cache sweep, so this is a boundary.
-        let records = self.records_snapshot()?;
-        debug_assert!(
-            self.maintenance_snapshot()
-                .shards
-                .iter()
-                .all(|s| s.epoch % 2 == 0),
-            "consistent cut observed a cache shard mid-batch"
-        );
-        Ok(vec![records])
-    }
-}
-
 /// Converts an update batch into its durable wire form.
 pub fn wal_batch_from_updates(updates: &[Update]) -> WalBatch {
     WalBatch {
@@ -217,8 +178,8 @@ struct DurableState {
     snapshot_failures: u64,
 }
 
-/// A [`RecoverableServer`] with a write-ahead log and generation
-/// snapshots underneath. Queries pass through untouched; updates are
+/// A [`Server`] with a write-ahead log and generation snapshots
+/// underneath. Queries pass through untouched; updates are
 /// logged before they are applied.
 pub struct DurableServer<S> {
     inner: S,
@@ -255,7 +216,7 @@ fn parse_generation(name: &str, prefix: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-impl<S: RecoverableServer> DurableServer<S> {
+impl<B: Backend> DurableServer<Server<B>> {
     /// Starts a fresh durable history in `dir`: writes the generation-0
     /// snapshot of `inner`'s current records and an empty WAL. Refuses
     /// to run over a directory that already holds a snapshot
@@ -263,7 +224,7 @@ impl<S: RecoverableServer> DurableServer<S> {
     /// is the path back into existing state.
     pub fn create_in(
         dir: Box<dyn LogDir>,
-        inner: S,
+        inner: Server<B>,
         cfg: DurabilityConfig,
     ) -> Result<Self, DurabilityError> {
         let existing = dir.list().map_err(|e| DurabilityError::Wal(e.into()))?;
@@ -309,7 +270,7 @@ impl<S: RecoverableServer> DurableServer<S> {
     pub fn recover_in(
         dir: Box<dyn LogDir>,
         cfg: DurabilityConfig,
-        build: impl FnOnce(SnapshotState) -> Result<S, RTreeError>,
+        build: impl FnOnce(SnapshotState) -> Result<Server<B>, RTreeError>,
     ) -> Result<(Self, RecoveryReport), DurabilityError> {
         let _span = span!("recover");
         let names = dir.list().map_err(|e| DurabilityError::Wal(e.into()))?;
@@ -499,7 +460,7 @@ impl<S: RecoverableServer> DurableServer<S> {
 
     /// The wrapped server (read-path accessors; mutating it directly
     /// bypasses the WAL and voids the recovery guarantee).
-    pub fn inner(&self) -> &S {
+    pub fn inner(&self) -> &Server<B> {
         &self.inner
     }
 

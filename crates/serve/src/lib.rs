@@ -7,30 +7,40 @@
 //!
 //! Components:
 //!
+//! * [`Server`] — the one serve loop, generic over a dataset
+//!   [`Backend`]: a batch executor over a slice of [`TopKRequest`]s
+//!   (cache-probe first, compute-and-admit on miss) returning per-batch
+//!   [`ServeStats`] (latency percentiles, hit rate, Phase-2 method),
+//!   an update pipeline that coalesces [`Update`]s into a
+//!   `gir_core::DeltaBatch` under the dataset's exclusive lock and
+//!   reconciles every cached entry in one classification pass —
+//!   untouched entries survive, shrunk entries absorb the newcomers'
+//!   half-spaces, deleted facet contributors are *repaired in place*,
+//!   and only genuinely invalidated entries are evicted, so **no cache
+//!   hit ever serves a stale result** and regions do not decay under
+//!   churn ([`MaintenanceMode`]) — and the consistent record cut the
+//!   durability tier snapshots.
+//! * [`Backend`] — what differs between dataset shapes: the miss
+//!   computation, the apply step, the repair sweeps and the record
+//!   cut. [`TreeDataset`] (one R\*-tree plus its prune index) is the
+//!   backend of [`GirServer`]; `gir-shard` implements it for a
+//!   partitioned dataset and `gir-rpc` for shard workers behind a
+//!   transport. The in-process backends share one planned-miss
+//!   dispatch, [`local_miss`].
 //! * [`ShardedGirCache`] — a thread-safe GIR cache: N shards, each an
 //!   `RwLock`'d [`gir_core::GirCache`] LRU, with entries routed by a
 //!   hash of `(scoring-function fingerprint, k-bucket)` so lookups from
 //!   different sessions rarely contend. Hit / miss / eviction counters
 //!   aggregate across shards.
-//! * [`GirServer`] — the serving engine: a batch executor that fans a
-//!   slice of [`TopKRequest`]s across a scoped worker pool
-//!   (cache-probe first, compute-and-admit on miss) and returns
-//!   per-batch [`ServeStats`] (latency percentiles, hit rate, Phase-2
-//!   method), plus an update pipeline that coalesces [`Update`]s into a
-//!   `gir_core::DeltaBatch` under the R\*-tree's exclusive lock and
-//!   reconciles every cached entry in one classification pass —
-//!   untouched entries survive, shrunk entries absorb the newcomers'
-//!   half-spaces, deleted facet contributors are *repaired in place*
-//!   (an FP sweep pinned at the cached `p_k`), and only genuinely
-//!   invalidated entries are evicted, so **no cache hit ever serves a
-//!   stale result** and regions do not decay under churn
-//!   ([`MaintenanceMode`]).
+//! * [`DurableServer`] — WAL-ahead updates, snapshot generations and
+//!   crash recovery around any [`Server`].
 //! * [`workload`] — a deterministic mixed query/update traffic
 //!   generator for the serve driver and throughput bench.
 //!
 //! The freshness argument: queries run under a shared read lock on the
-//! tree and admit entries computed against that tree version; updates
-//! take the write lock and sweep the cache *before releasing it*, so a
+//! dataset and admit entries computed against that version; updates
+//! take the write lock and reconcile the cache *before releasing it* —
+//! also when the batch fails partway, with whatever was applied — so a
 //! lookup can never observe an entry whose region has not been
 //! reconciled with every applied update (maintenance keeps shrunk
 //! regions sound — see `gir_core::maintenance`).
@@ -63,16 +73,16 @@ pub mod workload;
 
 pub use durable::{
     updates_from_wal_batch, wal_batch_from_updates, DurabilityConfig, DurabilityError,
-    DurableServer, RecoverableServer, RecoveryReport,
+    DurableServer, RecoveryReport,
 };
 pub use gir_core::plan::{MissPath, PlannerStats};
 pub use gir_core::RegionKind;
 pub use server::{
-    compute_response, execute_batch, record_planner_phase, serve_traced, BatchResult, GirServer,
-    MaintenanceMode, ServerConfig, TopKRequest, TopKResponse, Update, UpdateReport,
+    local_miss, Applied, Backend, BatchResult, GirServer, MaintenanceMode, MissContext, Server,
+    ServerConfig, TopKRequest, TopKResponse, TreeDataset, Update, UpdateReport,
 };
 pub use sharded::{CacheStats, ShardedGirCache, APPLY_SLOTS};
-pub use stats::{publish_planner_decision, ServeStats};
+pub use stats::ServeStats;
 pub use workload::{mixed_workload, TrafficBatch, WorkloadConfig};
 
 #[cfg(test)]

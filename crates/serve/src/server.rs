@@ -1,38 +1,57 @@
-//! The serving engine: batch executor + update pipeline.
+//! The serve loop: one [`Server`] over a dataset [`Backend`].
+//!
+//! Every server shape runs the same loop — cache probe, miss
+//! computation, admission, and the update path that reconciles the
+//! cache with each applied [`DeltaBatch`]:
+//!
+//! * [`GirServer`] — one R\*-tree plus its [`PruneIndex`]
+//!   ([`TreeDataset`]);
+//! * `gir_shard::ShardedGirServer` — a partitioned dataset;
+//! * `gir_rpc::DistributedGirServer` — shard workers behind a transport.
+//!
+//! A backend supplies only what genuinely differs between them: the
+//! miss computation, the apply step, the repair sweeps and the record
+//! cut. The two in-process backends share one planned-miss dispatch
+//! ([`local_miss`]).
 
 use crate::sharded::{CacheStats, ShardedGirCache};
 use crate::stats::ServeStats;
 use gir_core::plan::{Decision, MissPath, PlanInputs, Planner, PlannerStats};
 use gir_core::{
     repair_region, repair_region_star, CacheKey, DeltaBatch, GirEngine, GirError, GirOutput,
-    Method, PruneIndex, PruneIndexStats, RegionKind, ShardView,
+    GirRegion, Method, PruneIndex, PruneIndexStats, RegionKind, RepairRequest, ShardView,
 };
 use gir_geometry::vector::PointD;
 use gir_query::{QueryVector, Record, ScoringFunction};
 use gir_rtree::{RTree, RTreeError};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 /// How the cache is reconciled with dataset updates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MaintenanceMode {
-    /// The PR 1 pipeline: every update sweeps every cached entry
-    /// (insertions shrink or evict; deletions evict result members and
-    /// silently leave shrunk regions shrunk forever).
+    /// The original pipeline: every update is applied on its own and
+    /// sweeps every cached entry (insertions shrink or evict; deletions
+    /// evict result members and silently leave shrunk regions shrunk
+    /// forever). Kept as the benchmark baseline.
     LegacySweep,
     /// The incremental engine: updates coalesce into a
     /// [`gir_core::DeltaBatch`], each entry is classified once per
     /// batch, and deleted facet contributors trigger an in-place facet
-    /// repair ([`gir_core::repair_region`]) instead of permanent
-    /// region loss.
+    /// repair ([`Backend::repair`]) instead of permanent region loss.
     #[default]
     DeltaRepair,
 }
 
-/// Serving-engine configuration.
+/// Serving-engine configuration, shared by every backend.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads per batch (clamped to ≥ 1).
+    /// How a batch's requests execute. `≤ 1` serves them sequentially
+    /// on the calling thread, in request order, so cache-probe order
+    /// and hit counts are deterministic. `> 1` fans them out over the
+    /// shared work-stealing pool, which `GIR_POOL_THREADS` sizes (0
+    /// keeps it off; unset means the available cores); any value above
+    /// 1 behaves the same.
     pub threads: usize,
     /// Cache shards (rounded up to a power of two).
     pub shards: usize,
@@ -48,7 +67,9 @@ pub struct ServerConfig {
     /// skyline + hull + decoded tree mirror + shared Phase-2 systems,
     /// all maintained incrementally) instead of recomputing the
     /// pruning structures per query. Off reproduces the PR 2 miss
-    /// path (benchmark baseline).
+    /// path (benchmark baseline). Only a dataset held in one tree has
+    /// that path: a multi-shard dataset always runs the planned
+    /// fan-out, and a remote one has no index on the coordinator.
     pub use_prune_index: bool,
     /// Durability tier (WAL + snapshots + crash recovery; see
     /// [`crate::durable`]). `None` — the default, and the perf-gate
@@ -59,9 +80,11 @@ pub struct ServerConfig {
     /// Pins every planned miss to one [`MissPath`], overriding the
     /// adaptive planner — the config-level twin of the `GIR_FORCE_PATH`
     /// environment variable (this field wins when both are set; tests
-    /// use it to avoid env races). Only consulted when
-    /// [`ServerConfig::use_prune_index`] is on; the off state is the
-    /// pure-cold PR 2 baseline and bypasses the planner entirely.
+    /// use it to avoid env races). With more than one data shard only
+    /// [`MissPath::Sharded`] is feasible, so an infeasible force falls
+    /// back to the sharded plan. Not consulted when
+    /// [`ServerConfig::use_prune_index`] selects the pure-cold baseline,
+    /// nor by a remote backend, whose only plan is the RPC fan-out.
     pub force_path: Option<MissPath>,
 }
 
@@ -218,58 +241,82 @@ pub struct UpdateReport {
     pub untouched: usize,
 }
 
-/// Fans `requests` across the workspace's shared work-stealing pool
-/// ([`gir_core::pool::fan_out`]) and derives the batch's
-/// [`ServeStats`] from the in-order responses. The executor shared by
-/// [`GirServer::run_batch`] and the sharded server
-/// (`gir_shard::ShardedGirServer`); callers hold whatever dataset lock
-/// their `serve_one` needs for the duration of the call.
-///
-/// `threads <= 1` runs strictly sequentially on the caller — cache
-/// probe order, and therefore hit counts, are deterministic in that
-/// configuration. With `threads > 1` the actual parallelism degree is
-/// the pool's policy (`GIR_POOL_THREADS`), not `threads`; EXPLAIN
-/// captures survive the thread hops because `fan_out` grafts per-job
-/// span trees back in item order. `work_items` is the caller's measure
-/// of the total work behind the batch (requests × live records — a
-/// request's cost scales with the dataset it reads, not the request
-/// count), gated by `GIR_POOL_MIN_ITEMS` like every other fan-out.
-pub fn execute_batch(
-    requests: &[TopKRequest],
-    work_items: usize,
-    threads: usize,
-    method_label: &'static str,
-    serve_one: impl Fn(&TopKRequest) -> TopKResponse + Sync,
-) -> BatchResult {
-    let batch_start = Instant::now();
-    let n = requests.len();
-    let threads = threads.clamp(1, n.max(1));
-    let responses: Vec<TopKResponse> = if threads <= 1 {
-        requests.iter().map(&serve_one).collect()
-    } else {
-        gir_core::pool::fan_out(requests.iter().collect(), work_items, |_, req| {
-            serve_one(req)
-        })
-    };
+/// What a backend's miss computation may consult besides the request:
+/// the server's scoring function, effective Phase-2 method, planner and
+/// prune-index switch.
+pub struct MissContext<'a> {
+    /// The scoring function requests are evaluated under.
+    pub scoring: &'a ScoringFunction,
+    /// The effective Phase-2 method ([`Server::method`]).
+    pub method: Method,
+    /// The server's miss-path planner.
+    pub planner: &'a Planner,
+    /// [`ServerConfig::use_prune_index`].
+    pub use_prune_index: bool,
+}
 
-    let labeled: Vec<(u64, bool)> = responses
-        .iter()
-        .map(|r| (r.latency_us, r.from_cache))
-        .collect();
-    if tracing::enabled() {
-        crate::stats::publish_to_registry(&labeled);
-    }
-    let wall_ms = batch_start.elapsed().as_secs_f64() * 1e3;
-    let stats = ServeStats::from_labeled_latencies(labeled, threads, method_label, wall_ms);
-    BatchResult { responses, stats }
+/// What one [`Backend::apply`] call did to the dataset.
+pub struct Applied<R> {
+    /// Every update that reached the dataset, coalesced — including
+    /// those applied before a failure.
+    pub batch: DeltaBatch,
+    /// `inserted` / `deleted` / `missed_deletes`; the cache fields are
+    /// filled by the server's reconciliation.
+    pub report: UpdateReport,
+    /// What the repair sweeps need to know about this batch (e.g. the
+    /// owner shards of deleted records).
+    pub repair: R,
+    /// The failure that stopped the batch, if any. The server surfaces
+    /// it only after reconciling the cache with `batch`.
+    pub error: Option<RTreeError>,
+}
+
+/// The dataset a [`Server`] runs its loop over. The server keeps it
+/// behind an `RwLock`: a query batch holds the read lock throughout,
+/// an update holds the write lock through [`Backend::apply`] *and* the
+/// cache reconciliation, so reads always see a batch boundary.
+///
+/// Implementations supply only what differs between dataset shapes;
+/// the cache, the serve path and the update-to-cache contract are the
+/// server's.
+pub trait Backend: Send + Sync {
+    /// Per-batch context handed from [`Backend::apply`] to
+    /// [`Backend::repair`].
+    type Repair: Sync;
+
+    /// Attribute dimensionality.
+    fn dim(&self) -> usize;
+
+    /// Live records (the batch executor's work measure).
+    fn num_records(&self) -> u64;
+
+    /// Computes one cache miss: the top-k and its region.
+    fn miss(
+        &self,
+        cx: &MissContext<'_>,
+        q: &QueryVector,
+        req: &TopKRequest,
+    ) -> Result<GirOutput, GirError>;
+
+    /// Applies one update batch. A failure stops the batch, but every
+    /// update applied before it must be in the returned `batch`.
+    fn apply(&mut self, updates: &[Update]) -> Applied<Self::Repair>;
+
+    /// Rebuilds the facets of one cached entry whose contributors the
+    /// batch deleted (linear scoring only). `None` declines: the entry
+    /// keeps a sound but non-maximal region.
+    fn repair(&self, cx: &Self::Repair, req: &RepairRequest<'_>) -> Option<GirRegion>;
+
+    /// Per-shard records at the current batch boundary (one list for a
+    /// single tree) — what a durable snapshot persists.
+    fn cut(&self) -> Result<Vec<Vec<Record>>, RTreeError>;
 }
 
 /// Runs `f` — one request's full serve path — under the root `serve`
 /// span, and when the request asked for EXPLAIN, inside a thread-local
 /// capture whose finished span tree is distilled into the response's
-/// [`gir_obs::ExplainReport`]. Shared by both servers so the sharded
-/// miss path reports the same phase taxonomy as the single-dataset one.
-pub fn serve_traced(req: &TopKRequest, f: impl FnOnce() -> TopKResponse) -> TopKResponse {
+/// [`gir_obs::ExplainReport`].
+fn serve_traced(req: &TopKRequest, f: impl FnOnce() -> TopKResponse) -> TopKResponse {
     let capture = req.explain.then(tracing::Capture::begin);
     let serve_span = tracing::span!("serve", kind = req.kind.label(), k = req.k);
     let mut resp = f();
@@ -292,65 +339,49 @@ pub fn serve_traced(req: &TopKRequest, f: impl FnOnce() -> TopKResponse) -> TopK
 }
 
 /// Maps a miss computation's outcome to a response, handing successful
-/// outputs to `admit` (cache insertion) first. Shared by both servers:
+/// outputs to `admit` (cache insertion) first:
 ///
 /// * an empty dataset serves an empty result (not a failure),
-/// * a storage fault marks this response `failed` without poisoning
-///   the batch — nothing was admitted, and a failed prune-index
-///   build/maintenance step invalidated itself, so later requests
-///   recompute from scratch once the store heals
+/// * a storage fault or an unavailable shard marks this response
+///   `failed` without poisoning the batch — nothing was admitted, and a
+///   failed prune-index build/maintenance step invalidated itself, so
+///   later requests recompute from scratch once the store heals
 ///   (`tests/failure_injection.rs`),
 /// * anything else (a configuration error like unsupported scoring)
 ///   panics: retries cannot fix it.
-pub fn compute_response(
-    computed: Result<gir_core::GirOutput, GirError>,
+fn compute_response(
+    computed: Result<GirOutput, GirError>,
     started: Instant,
-    admit: impl FnOnce(gir_core::GirOutput),
+    admit: impl FnOnce(GirOutput),
 ) -> TopKResponse {
-    match computed {
+    let (ids, pages, error) = match computed {
         Ok(out) => {
             let ids = out.result.ids();
             let pages = out.stats.topk_pages + out.stats.gir_pages;
             admit(out);
-            TopKResponse {
-                ids,
-                from_cache: false,
-                latency_us: started.elapsed().as_micros() as u64,
-                failed: false,
-                pages,
-                error: None,
-                explain: None,
-            }
+            (ids, pages, None)
         }
-        Err(GirError::EmptyResult) => TopKResponse {
-            ids: Vec::new(),
-            from_cache: false,
-            latency_us: started.elapsed().as_micros() as u64,
-            failed: false,
-            pages: 0,
-            error: None,
-            explain: None,
-        },
-        Err(e @ GirError::Tree(_)) | Err(e @ GirError::ShardUnavailable { .. }) => TopKResponse {
-            ids: Vec::new(),
-            from_cache: false,
-            latency_us: started.elapsed().as_micros() as u64,
-            failed: true,
-            pages: 0,
-            error: Some(e.to_string()),
-            explain: None,
-        },
+        Err(GirError::EmptyResult) => (Vec::new(), 0, None),
+        Err(e @ GirError::Tree(_)) | Err(e @ GirError::ShardUnavailable { .. }) => {
+            (Vec::new(), 0, Some(e.to_string()))
+        }
         Err(e) => panic!("GIR computation failed in serve path: {e}"),
+    };
+    TopKResponse {
+        ids,
+        from_cache: false,
+        latency_us: started.elapsed().as_micros() as u64,
+        failed: error.is_some(),
+        pages,
+        error,
+        explain: None,
     }
 }
 
 /// Annotates an open EXPLAIN `planner` span with one decision: the
 /// chosen path plus every alternative's estimate in microseconds
-/// (infeasible paths omitted). The caller opens the span *before*
-/// planning and drops it before the `compute` span, so the phase row (a
-/// direct child of the root `serve` span) also accounts the planning
-/// work itself. Shared with the sharded server.
-pub fn record_planner_phase(span: &mut tracing::Span, decision: &Decision) {
+/// (infeasible paths omitted).
+fn record_planner_phase(span: &mut tracing::Span, decision: &Decision) {
     span.record("path", decision.path.label());
     span.record("forced", decision.forced);
     span.record("probe", decision.probe);
@@ -369,33 +400,264 @@ pub fn record_planner_phase(span: &mut tracing::Span, decision: &Decision) {
     }
 }
 
-/// A concurrent GIR serving engine over one dataset.
+/// The miss computation of the in-process backends, over the dataset's
+/// shard views (a single tree is one view over the whole dataset of
+/// `n` records).
 ///
-/// Queries run under a shared read lock on the R\*-tree; updates take
-/// the write lock and sweep the cache before releasing it. See the
-/// crate docs for the freshness argument.
-pub struct GirServer {
-    tree: RwLock<RTree>,
-    cache: ShardedGirCache,
+/// With [`ServerConfig::use_prune_index`] off and one view this is the
+/// pure-cold baseline: no shared state, no planner. Otherwise the
+/// [`Planner`] picks the path per query from its measured cost model —
+/// cold, indexed (recompute or reuse) or the sharded fan-out; the
+/// single-tree paths are feasible only with one view. The decision is
+/// recorded (EXPLAIN `planner` phase, `planner.*` counters),
+/// dispatched, and the measured latency is fed back into the model.
+pub fn local_miss(
+    views: &[ShardView<'_>],
+    n: usize,
+    cx: &MissContext<'_>,
+    q: &QueryVector,
+    req: &TopKRequest,
+) -> Result<GirOutput, GirError> {
+    let (scoring, method) = (cx.scoring, cx.method);
+    if !cx.use_prune_index && views.len() == 1 {
+        let _compute_span = tracing::span!("compute", method = method.label());
+        let engine = GirEngine::with_scoring(views[0].tree, scoring.clone());
+        return match req.kind {
+            RegionKind::Gir => engine.gir(q, req.k, method),
+            // The order-insensitive region: its wider polytope is the
+            // whole point of the request (one entry absorbs every query
+            // that permutes the same composition).
+            RegionKind::GirStar => engine.gir_star(q, req.k, method),
+        };
+    }
+    // The span opens before input gathering so the planning work
+    // itself is accounted to the `planner` phase, not lost between
+    // phases (the EXPLAIN report asserts phases cover the latency).
+    let mut planner_span = tracing::span!("planner");
+    let inputs = PlanInputs {
+        n,
+        d: scoring.dim(),
+        method,
+        kind: req.kind,
+        skyline: views.iter().map(|v| v.index.stats().skyline_size).sum(),
+        index_built: views.iter().any(|v| v.index.is_built()),
+        shards: views.len(),
+    };
+    let decision = cx.planner.plan(&inputs);
+    record_planner_phase(&mut planner_span, &decision);
+    drop(planner_span);
+    if decision.forced && decision.path == MissPath::IndexedRecompute {
+        // A *forced* recompute must measure the cold-Phase-2 cost in
+        // isolation (the same technique the cold_gir bench uses), so
+        // the shared systems are dropped before dispatch. The adaptive
+        // planner never clears: an `IndexedRecompute` prediction just
+        // means it expects the lookup to miss.
+        for v in views {
+            v.index.clear_phase2();
+        }
+    }
+    // Whether the dispatch actually reused a Phase-2 system is read off
+    // the indexes' hit counters around the call. Concurrent requests
+    // can interleave their deltas — acceptable noise for calibration,
+    // and exact under `threads: 1`.
+    let phase2_hits = || -> u64 { views.iter().map(|v| v.index.phase2_hits()).sum() };
+    let watch_reuse = decision.path != MissPath::Cold && method != Method::FullScan;
+    let h0 = watch_reuse.then(phase2_hits);
+    let compute_span = tracing::span!(
+        "compute",
+        method = method.label(),
+        path = decision.path.label()
+    );
+    let t0 = Instant::now();
+    let computed = match (decision.path, req.kind) {
+        (MissPath::Sharded, RegionKind::Gir) => {
+            GirEngine::gir_sharded(views, scoring, q, req.k, method)
+        }
+        (MissPath::Sharded, RegionKind::GirStar) => {
+            GirEngine::gir_star_sharded(views, scoring, q, req.k, method)
+        }
+        // Single-tree paths: the planner marks them infeasible unless
+        // one view holds the whole dataset.
+        (path, kind) => {
+            let engine = GirEngine::with_scoring(views[0].tree, scoring.clone());
+            match (path, kind) {
+                (MissPath::Cold, RegionKind::Gir) => engine.gir(q, req.k, method),
+                (MissPath::Cold, RegionKind::GirStar) => engine.gir_star(q, req.k, method),
+                (_, RegionKind::Gir) => engine.gir_indexed(q, req.k, method, views[0].index),
+                (_, RegionKind::GirStar) => {
+                    engine.gir_star_indexed(q, req.k, method, views[0].index)
+                }
+            }
+        }
+    };
+    let actual_ns = t0.elapsed().as_nanos() as u64;
+    drop(compute_span);
+    // Feeding the measured latency back is real per-miss work (model
+    // update + counter publishes); it gets its own phase so EXPLAIN
+    // shows the calibrator's cost explicitly.
+    let calibrate_span = tracing::span!("calibrate", actual_us = actual_ns as f64 / 1e3);
+    let reused = h0.map(|h| phase2_hits() > h);
+    let outcome = cx.planner.observe(&decision, actual_ns, reused);
+    if tracing::enabled() {
+        crate::stats::publish_planner_decision(&decision, actual_ns, outcome);
+    }
+    drop(calibrate_span);
+    computed
+}
+
+/// One R\*-tree plus its [`PruneIndex`]: the dataset of [`GirServer`].
+pub struct TreeDataset {
+    tree: RTree,
     prune: PruneIndex,
+}
+
+impl From<RTree> for TreeDataset {
+    fn from(tree: RTree) -> Self {
+        TreeDataset {
+            tree,
+            prune: PruneIndex::new(),
+        }
+    }
+}
+
+impl TreeDataset {
+    /// Prune-index counters (builds, serves, incremental updates,
+    /// shared Phase-2 reuse).
+    pub fn prune_stats(&self) -> PruneIndexStats {
+        self.prune.stats()
+    }
+}
+
+impl Backend for TreeDataset {
+    type Repair = ();
+
+    fn dim(&self) -> usize {
+        self.tree.dim()
+    }
+
+    fn num_records(&self) -> u64 {
+        self.tree.len()
+    }
+
+    fn miss(
+        &self,
+        cx: &MissContext<'_>,
+        q: &QueryVector,
+        req: &TopKRequest,
+    ) -> Result<GirOutput, GirError> {
+        let view = ShardView {
+            tree: &self.tree,
+            index: &self.prune,
+        };
+        local_miss(&[view], self.tree.len() as usize, cx, q, req)
+    }
+
+    fn apply(&mut self, updates: &[Update]) -> Applied<()> {
+        let mut batch = DeltaBatch::new();
+        let mut report = UpdateReport::default();
+        let mut error = None;
+        for u in updates {
+            match u {
+                Update::Insert(rec) => match self.tree.insert(rec.clone()) {
+                    Ok(()) => {
+                        self.prune.on_insert(rec);
+                        report.inserted += 1;
+                        batch.record_insert(rec);
+                    }
+                    Err(e) => error = Some(e),
+                },
+                Update::Delete { id, attrs } => match self.tree.delete(*id, attrs) {
+                    Ok(true) => {
+                        // Record the applied delete *before* surfacing a
+                        // prune-index failure: the tree took it (the
+                        // index invalidated itself).
+                        report.deleted += 1;
+                        batch.record_delete_at(*id, attrs);
+                        error = self.prune.on_delete(&self.tree, *id, attrs).err();
+                    }
+                    Ok(false) => report.missed_deletes += 1,
+                    Err(e) => error = Some(e),
+                },
+            }
+            if error.is_some() {
+                break;
+            }
+        }
+        Applied {
+            batch,
+            report,
+            repair: (),
+            error,
+        }
+    }
+
+    fn repair(&self, _: &(), req: &RepairRequest<'_>) -> Option<GirRegion> {
+        let repaired = match req.kind {
+            RegionKind::Gir => repair_region(
+                &self.tree,
+                req.scoring,
+                req.result,
+                req.region,
+                req.removed,
+                req.shrinks,
+            ),
+            RegionKind::GirStar => repair_region_star(
+                &self.tree,
+                req.scoring,
+                req.result,
+                req.region,
+                req.removed,
+                req.shrinks,
+            ),
+        };
+        repaired.ok()
+    }
+
+    fn cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        Ok(vec![self.tree.scan_all()?])
+    }
+}
+
+/// A concurrent GIR serving engine over one dataset backend: the one
+/// serve loop every server shape runs.
+///
+/// Queries run under a shared read lock on the backend; updates take
+/// the write lock and reconcile the cache before releasing it, so a
+/// lookup never observes an entry that has not been reconciled with
+/// every applied update (maintenance keeps shrunk regions sound — see
+/// `gir_core::maintenance`).
+pub struct Server<B> {
+    data: RwLock<B>,
+    cache: ShardedGirCache,
     planner: Planner,
     scoring: ScoringFunction,
     cfg: ServerConfig,
 }
 
+/// The server over one R\*-tree.
+pub type GirServer = Server<TreeDataset>;
+
 impl GirServer {
-    /// Builds a server around an existing tree.
-    pub fn new(tree: RTree, scoring: ScoringFunction, cfg: ServerConfig) -> Self {
-        assert_eq!(scoring.dim(), tree.dim(), "scoring dimensionality mismatch");
-        let cache = ShardedGirCache::new(cfg.shards, cfg.shard_capacity);
+    /// Prune-index counters (builds, serves, incremental updates,
+    /// shared Phase-2 reuse).
+    pub fn prune_stats(&self) -> PruneIndexStats {
+        self.dataset().prune_stats()
+    }
+}
+
+impl<B: Backend> Server<B> {
+    /// Builds a server around a dataset: an [`RTree`] for a
+    /// [`GirServer`], a `gir_shard::ShardedDataset` for a sharded one.
+    pub fn new(dataset: impl Into<B>, scoring: ScoringFunction, cfg: ServerConfig) -> Self {
+        let data = dataset.into();
+        assert_eq!(scoring.dim(), data.dim(), "scoring dimensionality mismatch");
         let planner = match cfg.force_path {
             Some(p) => Planner::with_forced(Some(p)),
             None => Planner::new(),
         };
-        GirServer {
-            tree: RwLock::new(tree),
-            cache,
-            prune: PruneIndex::new(),
+        Server {
+            data: RwLock::new(data),
+            cache: ShardedGirCache::new(cfg.shards, cfg.shard_capacity),
             planner,
             scoring,
             cfg,
@@ -424,53 +686,105 @@ impl GirServer {
 
     /// Consistent cut of the cache's per-shard maintenance counters
     /// (see [`ShardedGirCache::maintenance_snapshot`]): safe to call
-    /// concurrently with [`GirServer::apply_updates`], never observes a
+    /// concurrently with [`Server::apply_updates`], never observes a
     /// shard mid-batch.
     pub fn maintenance_snapshot(&self) -> gir_obs::ScopesSnapshot {
         self.cache.maintenance_snapshot()
     }
 
-    /// Prune-index counters (builds, serves, incremental updates,
-    /// shared Phase-2 reuse).
-    pub fn prune_stats(&self) -> PruneIndexStats {
-        self.prune.stats()
+    /// Planner decision counters (per-path tallies, probes, forced
+    /// dispatches, calibrator drift/refit activity).
+    pub fn planner_stats(&self) -> PlannerStats {
+        self.planner.stats()
     }
 
-    /// A snapshot of every live record (for verification / debugging;
-    /// takes the read lock).
-    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
-        self.read_tree().scan_all()
+    /// The planner's forced-path override, if any (config field or
+    /// `GIR_FORCE_PATH`).
+    pub fn forced_path(&self) -> Option<MissPath> {
+        self.planner.forced()
+    }
+
+    /// Read access to the dataset (holds the read lock: updates wait
+    /// until the guard drops).
+    pub fn dataset(&self) -> RwLockReadGuard<'_, B> {
+        self.data.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of live records.
     pub fn num_records(&self) -> u64 {
-        self.read_tree().len()
+        self.dataset().num_records()
     }
 
-    fn read_tree(&self) -> std::sync::RwLockReadGuard<'_, RTree> {
-        self.tree.read().unwrap_or_else(PoisonError::into_inner)
+    /// Every live record, shard-major (for verification / debugging).
+    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
+        Ok(self.consistent_cut()?.into_iter().flatten().collect())
     }
 
-    /// Executes a batch of requests across the worker pool: cache-probe
-    /// first, compute-and-admit on miss. Responses preserve request
-    /// order.
+    /// Per-shard records at a batch boundary — the state a durable
+    /// snapshot persists. The cut holds the dataset read lock, and
+    /// updates hold the write lock through apply and cache
+    /// reconciliation, so no batch is ever half-applied in it. For a
+    /// remote backend every worker answers at the coordinator's epoch:
+    /// equal epochs across shards that only change state at batch
+    /// boundaries make the cut a consistent global state.
+    pub fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        let data = self.dataset();
+        debug_assert!(
+            self.cache
+                .maintenance_snapshot()
+                .shards
+                .iter()
+                .all(|s| s.epoch % 2 == 0),
+            "consistent cut observed a cache shard mid-batch"
+        );
+        data.cut()
+    }
+
+    /// Executes a batch of requests: cache-probe first, compute-and-admit
+    /// on miss. Responses preserve request order. See
+    /// [`ServerConfig::threads`] for how the requests are scheduled;
+    /// EXPLAIN captures survive the pool's thread hops because
+    /// `fan_out` grafts per-job span trees back in item order.
     pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
+        let batch_start = Instant::now();
         let method = self.method();
         // Hold the read lock for the whole batch: updates apply between
         // batches, never inside one.
-        let tree = self.read_tree();
-        let tree_ref: &RTree = &tree;
-        let work = requests
-            .len()
-            .saturating_mul(tree_ref.len().max(1) as usize);
-        let out = execute_batch(requests, work, self.cfg.threads, method.label(), |req| {
-            self.serve_one(tree_ref, req, method)
-        });
-        drop(tree);
-        out
+        let guard = self.dataset();
+        let data: &B = &guard;
+        let threads = self.cfg.threads.clamp(1, requests.len().max(1));
+        let responses: Vec<TopKResponse> = if threads <= 1 {
+            requests
+                .iter()
+                .map(|req| self.serve_one(data, req, method))
+                .collect()
+        } else {
+            // A request's cost scales with the dataset it reads, so the
+            // work measure `GIR_POOL_MIN_ITEMS` gates is requests × live
+            // records.
+            let work = requests
+                .len()
+                .saturating_mul(data.num_records().max(1) as usize);
+            gir_core::pool::fan_out(requests.iter().collect(), work, |_, req| {
+                self.serve_one(data, req, method)
+            })
+        };
+        drop(guard);
+
+        let labeled: Vec<(u64, bool)> = responses
+            .iter()
+            .map(|r| (r.latency_us, r.from_cache))
+            .collect();
+        if tracing::enabled() {
+            crate::stats::publish_to_registry(&labeled);
+        }
+        let wall_ms = batch_start.elapsed().as_secs_f64() * 1e3;
+        let stats = ServeStats::from_labeled_latencies(labeled, threads, method.label(), wall_ms);
+        BatchResult { responses, stats }
     }
 
-    fn serve_one(&self, tree: &RTree, req: &TopKRequest, method: Method) -> TopKResponse {
+    /// One request: cache probe → miss computation → admit.
+    fn serve_one(&self, data: &B, req: &TopKRequest, method: Method) -> TopKResponse {
         serve_traced(req, || {
             let t0 = Instant::now();
             let key = CacheKey::new(&req.weights, req.k, &self.scoring).kind(req.kind);
@@ -489,255 +803,90 @@ impl GirServer {
                 };
             }
             let q = QueryVector::new(req.weights.coords().to_vec());
-            let computed = if self.cfg.use_prune_index {
-                // The planner picks the miss path per query (cold /
-                // indexed / sharded) from its measured cost model; the
-                // unconditional index preference this replaces was a
-                // live perf bug at d ≥ 4 (BENCH_cold_gir.json).
-                self.serve_miss_planned(tree, &q, req, method)
-            } else {
-                // `use_prune_index: false` is the pure-cold PR 2
-                // baseline: no shared state, no planner.
-                let compute_span = tracing::span!("compute", method = method.label());
-                let engine = GirEngine::with_scoring(tree, self.scoring.clone());
-                let computed = match req.kind {
-                    RegionKind::Gir => engine.gir(&q, req.k, method),
-                    // The order-insensitive region: its wider polytope
-                    // is the whole point of the request (one entry
-                    // absorbs every query that permutes the same
-                    // composition).
-                    RegionKind::GirStar => engine.gir_star(&q, req.k, method),
-                };
-                drop(compute_span);
-                computed
+            let cx = MissContext {
+                scoring: &self.scoring,
+                method,
+                planner: &self.planner,
+                use_prune_index: self.cfg.use_prune_index,
             };
-            compute_response(computed, t0, |out| {
+            compute_response(data.miss(&cx, &q, req), t0, |out| {
                 let _admit_span = tracing::span!("admit");
                 self.cache.admit(&key, out.region, out.result);
             })
         })
     }
 
-    /// One planned miss: ask the [`Planner`] for the cheapest path,
-    /// record the decision (EXPLAIN `planner` phase + `planner.*`
-    /// counters), dispatch it, and feed the measured latency back into
-    /// the cost model.
-    fn serve_miss_planned(
-        &self,
-        tree: &RTree,
-        q: &QueryVector,
-        req: &TopKRequest,
-        method: Method,
-    ) -> Result<GirOutput, GirError> {
-        // The span opens before input gathering so the planning work
-        // itself is accounted to the `planner` phase, not lost between
-        // phases (the EXPLAIN report asserts phases cover the latency).
-        let mut planner_span = tracing::span!("planner");
-        let pstats = self.prune.stats();
-        let inputs = PlanInputs {
-            n: tree.len() as usize,
-            d: self.scoring.dim(),
-            method,
-            kind: req.kind,
-            skyline: pstats.skyline_size,
-            index_built: self.prune.is_built(),
-            shards: 1,
-        };
-        let decision = self.planner.plan(&inputs);
-        record_planner_phase(&mut planner_span, &decision);
-        drop(planner_span);
-        if decision.forced && decision.path == MissPath::IndexedRecompute {
-            // A *forced* recompute must measure the cold-Phase-2 cost in
-            // isolation (the same technique the cold_gir bench uses), so
-            // the shared systems are dropped before dispatch. The
-            // adaptive planner never clears: an `IndexedRecompute`
-            // prediction just means it expects the lookup to miss.
-            self.prune.clear_phase2();
-        }
-        // Whether the dispatch actually reused a Phase-2 system is read
-        // off the index's hit counter around the call. Concurrent
-        // requests can interleave their deltas — acceptable noise for
-        // calibration, and exact under `threads: 1`.
-        let watch_reuse = decision.path != MissPath::Cold && method != Method::FullScan;
-        let h0 = watch_reuse.then(|| self.prune.phase2_hits());
-        let engine = GirEngine::with_scoring(tree, self.scoring.clone());
-        let compute_span = tracing::span!(
-            "compute",
-            method = method.label(),
-            path = decision.path.label()
-        );
-        let t0 = Instant::now();
-        let computed = match (decision.path, req.kind) {
-            (MissPath::Cold, RegionKind::Gir) => engine.gir(q, req.k, method),
-            (MissPath::Cold, RegionKind::GirStar) => engine.gir_star(q, req.k, method),
-            (MissPath::Sharded, kind) => {
-                // The degenerate one-view sharded plan: same merge and
-                // per-shard Phase-2 machinery as a real fan-out, proven
-                // pointwise identical to the single-tree paths.
-                let view = ShardView {
-                    tree,
-                    index: &self.prune,
-                };
-                match kind {
-                    RegionKind::Gir => {
-                        GirEngine::gir_sharded(&[view], &self.scoring, q, req.k, method)
-                    }
-                    RegionKind::GirStar => {
-                        GirEngine::gir_star_sharded(&[view], &self.scoring, q, req.k, method)
-                    }
-                }
-            }
-            (_, RegionKind::Gir) => engine.gir_indexed(q, req.k, method, &self.prune),
-            (_, RegionKind::GirStar) => engine.gir_star_indexed(q, req.k, method, &self.prune),
-        };
-        let actual_ns = t0.elapsed().as_nanos() as u64;
-        drop(compute_span);
-        // Feeding the measured latency back is real per-miss work
-        // (model update + counter publishes); it gets its own phase so
-        // EXPLAIN shows the calibrator's cost explicitly.
-        let calibrate_span = tracing::span!("calibrate", actual_us = actual_ns as f64 / 1e3);
-        let reused = h0.map(|h| self.prune.phase2_hits() > h);
-        let outcome = self.planner.observe(&decision, actual_ns, reused);
-        if tracing::enabled() {
-            crate::stats::publish_planner_decision(&decision, actual_ns, outcome);
-        }
-        drop(calibrate_span);
-        computed
-    }
-
-    /// Planner decision counters (per-path tallies, probes, forced
-    /// dispatches, calibrator drift/refit activity).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.planner.stats()
-    }
-
-    /// The planner's forced-path override, if any (config field or
-    /// `GIR_FORCE_PATH`).
-    pub fn forced_path(&self) -> Option<MissPath> {
-        self.planner.forced()
-    }
-
-    /// Applies a batch of updates under the tree's write lock and
+    /// Applies a batch of updates under the dataset's write lock and
     /// reconciles the cache before the lock is released — queries never
-    /// observe a tree the cache has not been reconciled with.
+    /// observe a dataset the cache has not been reconciled with.
     ///
     /// Under [`MaintenanceMode::DeltaRepair`] the updates coalesce into
     /// one [`DeltaBatch`]: every cached entry is classified once for
     /// the whole burst, untouched entries survive, and only genuinely
     /// invalidated entries are evicted — deleted facet contributors are
-    /// repaired in place via the pinned FP sweep instead.
-    /// [`MaintenanceMode::LegacySweep`] keeps the PR 1 per-update
-    /// sweeps (benchmark baseline).
+    /// repaired in place ([`Backend::repair`]) instead.
+    /// [`MaintenanceMode::LegacySweep`] applies and sweeps one update at
+    /// a time (benchmark baseline).
+    ///
+    /// An error is returned only after the cache has been reconciled
+    /// with everything the backend did apply, so a failed batch never
+    /// leaves a stale entry behind.
     pub fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        let mut tree = self.tree.write().unwrap_or_else(PoisonError::into_inner);
-        let mut report = UpdateReport::default();
+        let mut data = self.data.write().unwrap_or_else(PoisonError::into_inner);
+        if self.cfg.maintenance == MaintenanceMode::DeltaRepair {
+            let applied = data.apply(updates);
+            return self.reconcile(&data, applied);
+        }
+        let mut total = UpdateReport::default();
+        for u in updates {
+            let applied = data.apply(std::slice::from_ref(u));
+            let r = self.reconcile(&data, applied)?;
+            total.inserted += r.inserted;
+            total.deleted += r.deleted;
+            total.missed_deletes += r.missed_deletes;
+            total.evicted += r.evicted;
+        }
+        Ok(total)
+    }
+
+    /// Reconciles the cache with one applied batch, then surfaces the
+    /// backend's error, if any.
+    fn reconcile(&self, data: &B, applied: Applied<B::Repair>) -> Result<UpdateReport, RTreeError> {
+        let Applied {
+            batch,
+            mut report,
+            repair,
+            error,
+        } = applied;
         match self.cfg.maintenance {
-            MaintenanceMode::LegacySweep => {
-                for u in updates {
-                    match u {
-                        Update::Insert(rec) => {
-                            tree.insert(rec.clone())?;
-                            self.prune.on_insert(rec);
-                            report.inserted += 1;
-                            report.evicted += self.cache.on_insert(rec);
-                        }
-                        Update::Delete { id, attrs } => {
-                            if tree.delete(*id, attrs)? {
-                                // A prune-index failure must not skip the
-                                // cache sweep: the tree is already
-                                // mutated, and the index invalidated
-                                // itself before erroring.
-                                let prune_err = self.prune.on_delete(&tree, *id, attrs).err();
-                                report.deleted += 1;
-                                report.evicted += self.cache.on_delete(*id);
-                                if let Some(e) = prune_err {
-                                    return Err(e);
-                                }
-                            } else {
-                                report.missed_deletes += 1;
-                            }
-                        }
-                    }
-                }
-            }
             MaintenanceMode::DeltaRepair => {
-                // Collect mutations first; on a mid-batch index error the
-                // cache must still be reconciled with the prefix that
-                // *was* applied before the error propagates, or a stale
-                // entry could outlive the already-mutated tree.
-                let mut batch = DeltaBatch::new();
-                let mut failure: Option<RTreeError> = None;
-                for u in updates {
-                    match u {
-                        Update::Insert(rec) => match tree.insert(rec.clone()) {
-                            Ok(()) => {
-                                self.prune.on_insert(rec);
-                                report.inserted += 1;
-                                batch.record_insert(rec);
-                            }
-                            Err(e) => {
-                                failure = Some(e);
-                                break;
-                            }
-                        },
-                        Update::Delete { id, attrs } => match tree.delete(*id, attrs) {
-                            Ok(true) => {
-                                // Record the applied delete *before*
-                                // surfacing a prune-index failure: the
-                                // batch below must reconcile the cache
-                                // with every mutation the tree took
-                                // (the index invalidated itself).
-                                report.deleted += 1;
-                                batch.record_delete_at(*id, attrs);
-                                if let Err(e) = self.prune.on_delete(&tree, *id, attrs) {
-                                    failure = Some(e);
-                                }
-                            }
-                            Ok(false) => report.missed_deletes += 1,
-                            Err(e) => failure = Some(e),
-                        },
-                    }
-                    if failure.is_some() {
-                        break;
-                    }
-                }
-                let tree_ref: &RTree = &tree;
                 let outcome = self.cache.apply_batch(&batch, |req| {
                     // FP repair needs linear scoring (§7.2); declining
                     // keeps the entry sound but non-maximal.
-                    if !req.scoring.is_linear() {
-                        return None;
+                    if req.scoring.is_linear() {
+                        data.repair(&repair, req)
+                    } else {
+                        None
                     }
-                    match req.kind {
-                        RegionKind::Gir => repair_region(
-                            tree_ref,
-                            req.scoring,
-                            req.result,
-                            req.region,
-                            req.removed,
-                            req.shrinks,
-                        ),
-                        RegionKind::GirStar => repair_region_star(
-                            tree_ref,
-                            req.scoring,
-                            req.result,
-                            req.region,
-                            req.removed,
-                            req.shrinks,
-                        ),
-                    }
-                    .ok()
                 });
                 report.evicted = outcome.evicted;
                 report.repaired = outcome.repaired;
                 report.shrunk = outcome.shrunk;
                 report.untouched = outcome.untouched;
-                if let Some(e) = failure {
-                    return Err(e);
+            }
+            MaintenanceMode::LegacySweep => {
+                for rec in batch.inserts() {
+                    report.evicted += self.cache.on_insert(rec);
+                }
+                for &id in batch.deleted_ids() {
+                    report.evicted += self.cache.on_delete(id);
                 }
             }
         }
-        Ok(report)
+        match error {
+            Some(e) => Err(e),
+            None => Ok(report),
+        }
     }
 }
 

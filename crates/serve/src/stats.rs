@@ -1,5 +1,7 @@
 //! Per-batch serving statistics.
 
+use crate::server::BatchResult;
+
 /// Measurements for one executed batch: cache effectiveness, latency
 /// percentiles over per-request wall clock, and aggregate throughput.
 ///
@@ -47,9 +49,6 @@ pub struct ServeStats {
     pub miss_p99_us: u64,
 }
 
-/// Nearest-rank percentile (the ⌈p·N⌉-th smallest sample). The
-/// registry's histogram percentiles use the same rule, so the legacy
-/// stats columns and `gir_obs` snapshots agree on identical inputs.
 /// Publishes one batch's per-request measurements into the global
 /// `gir_obs` registry: `serve.queries` / `serve.hits` / `serve.misses`
 /// counters plus blended and outcome-split latency histograms. The
@@ -83,9 +82,8 @@ pub(crate) fn publish_to_registry(labeled: &[(u64, bool)]) {
 /// probes, forced dispatches, calibrator drift/refit activity) plus
 /// predicted/actual latency histograms whose divergence exposes model
 /// error. Callers guard on [`tracing::enabled`] — with no collector
-/// installed the planner costs nothing here. Shared by the single-tree
-/// and sharded servers.
-pub fn publish_planner_decision(
+/// installed the planner costs nothing here.
+pub(crate) fn publish_planner_decision(
     decision: &gir_core::plan::Decision,
     actual_ns: u64,
     outcome: gir_core::plan::ObserveOutcome,
@@ -121,6 +119,9 @@ pub fn publish_planner_decision(
         .observe(actual_ns / 1000);
 }
 
+/// Nearest-rank percentile (the ⌈p·N⌉-th smallest sample). The
+/// registry's histogram percentiles use the same rule, so the legacy
+/// stats columns and `gir_obs` snapshots agree on identical inputs.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -221,32 +222,21 @@ impl ServeStats {
         }
     }
 
-    /// Merges another batch's stats (percentiles become maxima — good
-    /// enough for a conservative aggregate line).
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.queries += other.queries;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.threads = self.threads.max(other.threads);
-        self.wall_ms += other.wall_ms;
-        self.qps = if self.wall_ms > 0.0 {
-            self.queries as f64 / (self.wall_ms / 1e3)
-        } else {
-            0.0
-        };
-        self.p50_us = self.p50_us.max(other.p50_us);
-        self.p95_us = self.p95_us.max(other.p95_us);
-        self.p99_us = self.p99_us.max(other.p99_us);
-        self.max_us = self.max_us.max(other.max_us);
-        self.hit_p50_us = self.hit_p50_us.max(other.hit_p50_us);
-        self.hit_p95_us = self.hit_p95_us.max(other.hit_p95_us);
-        self.hit_p99_us = self.hit_p99_us.max(other.hit_p99_us);
-        self.miss_p50_us = self.miss_p50_us.max(other.miss_p50_us);
-        self.miss_p95_us = self.miss_p95_us.max(other.miss_p95_us);
-        self.miss_p99_us = self.miss_p99_us.max(other.miss_p99_us);
-        if self.method.is_empty() {
-            self.method = other.method;
-        }
+    /// One aggregate over several batches. Percentiles are nearest-rank
+    /// over the union of every batch's per-request samples (per-batch
+    /// percentiles cannot be combined into a percentile of the whole);
+    /// `wall_ms` sums the batches' wall clocks, so `qps` counts serving
+    /// time only.
+    pub fn from_batches(batches: &[BatchResult]) -> Self {
+        let labeled = batches
+            .iter()
+            .flat_map(|b| &b.responses)
+            .map(|r| (r.latency_us, r.from_cache))
+            .collect();
+        let threads = batches.iter().map(|b| b.stats.threads).max().unwrap_or(0);
+        let method = batches.first().map_or("", |b| b.stats.method);
+        let wall_ms = batches.iter().map(|b| b.stats.wall_ms).sum();
+        ServeStats::from_labeled_latencies(labeled, threads, method, wall_ms)
     }
 
     /// One-object JSON rendering (no serializer dependency).
@@ -308,6 +298,7 @@ impl std::fmt::Display for ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::TopKResponse;
 
     #[test]
     fn percentiles_from_known_distribution() {
@@ -360,13 +351,40 @@ mod tests {
     }
 
     #[test]
-    fn merge_takes_maxima_of_split_percentiles() {
-        let a = ServeStats::from_labeled_latencies(vec![(5, true), (100, false)], 1, "FP", 1.0);
-        let mut b = ServeStats::from_labeled_latencies(vec![(9, true), (50, false)], 1, "FP", 1.0);
-        b.merge(&a);
-        assert_eq!(b.queries, 4);
-        assert_eq!(b.hit_p99_us, 9);
-        assert_eq!(b.miss_p99_us, 100);
+    fn aggregate_percentiles_are_nearest_rank_of_the_union() {
+        let batch = |labeled: Vec<(u64, bool)>| BatchResult {
+            responses: labeled
+                .iter()
+                .map(|&(latency_us, from_cache)| TopKResponse {
+                    ids: Vec::new(),
+                    from_cache,
+                    latency_us,
+                    failed: false,
+                    pages: 0,
+                    error: None,
+                    explain: None,
+                })
+                .collect(),
+            stats: ServeStats::from_labeled_latencies(labeled, 1, "FP", 1.0),
+        };
+        // Batch A: 100 hits at 1..=100 µs. Batch B: one hit at 200 µs
+        // and one miss at 1000 µs. The union has 102 samples, so the
+        // nearest-rank p50 is the 51st (51 µs) and p99 the 101st
+        // (200 µs); the larger of the per-batch percentiles would say
+        // 200 and 1000.
+        let a = batch((1..=100).map(|us| (us, true)).collect());
+        let b = batch(vec![(200, true), (1000, false)]);
+        let agg = ServeStats::from_batches(&[a, b]);
+        assert_eq!((agg.queries, agg.hits, agg.misses), (102, 101, 1));
+        assert_eq!(agg.p50_us, 51);
+        assert_eq!(agg.p99_us, 200);
+        assert_eq!(agg.max_us, 1000);
+        // Hits alone: 1..=100 plus 200, 101 samples → 51st and 100th.
+        assert_eq!(agg.hit_p50_us, 51);
+        assert_eq!(agg.hit_p99_us, 100);
+        assert_eq!((agg.miss_p50_us, agg.miss_p99_us), (1000, 1000));
+        assert!((agg.wall_ms - 2.0).abs() < 1e-12);
+        assert_eq!((agg.threads, agg.method), (1, "FP"));
     }
 
     #[test]

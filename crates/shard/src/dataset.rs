@@ -204,7 +204,7 @@ impl ShardedDataset {
     }
 
     /// Per-shard record lists, in shard order — the shape a durable
-    /// snapshot persists ([`gir_serve::RecoverableServer`]). Placement
+    /// snapshot persists ([`gir_serve::Server::consistent_cut`]). Placement
     /// is a pure function of `(id, attrs, num_shards)`, so rebuilding
     /// from the flattened lists reproduces this exact partition.
     pub fn shard_records(&self) -> Result<Vec<Vec<Record>>, RTreeError> {

@@ -8,8 +8,8 @@
 //! non-result record against the fixed pivot `p_k`, so per-partition
 //! constraint systems intersect to the global region (see
 //! `gir_core::sharded` for the execution plan and its soundness
-//! argument). This crate provides the partitioned substrate and its
-//! serving layer:
+//! argument). This crate provides the partitioned substrate and plugs
+//! it into the one serve loop:
 //!
 //! * [`Placement`] — hash (uniform, id-keyed) and grid (spatially
 //!   banded) record-to-shard policies; placement is a pure function of
@@ -18,11 +18,13 @@
 //!   `gir_core::PruneIndex`; queries merge per-shard BRS candidate
 //!   frontiers into the global top-k and intersect per-shard Phase-2
 //!   systems into one `GirRegion`; updates touch the owning shard only.
-//! * [`ShardedGirServer`] — the `gir_serve` executor pattern over a
-//!   sharded dataset: cache-probe first on the scoped worker pool,
-//!   sharded compute-and-admit on miss, and an update pipeline whose
-//!   facet repair stays **shard-local** ([`repair_region_sharded`]) —
-//!   deleting a contributor of shard `s` re-sweeps tree `s` alone.
+//! * [`ShardedGirServer`] — `gir_serve::Server` with a
+//!   [`ShardedDataset`] backend: the same cache-first serve loop as the
+//!   single-tree server, sharded compute on miss, and an update path
+//!   whose facet repair stays **shard-local** ([`repair_region_sharded`])
+//!   — deleting a contributor of shard `s` re-sweeps tree `s` alone.
+//!   The backend supplies only the miss, the owner-routed apply, the
+//!   repair sweeps and the per-shard record cut.
 //!
 //! Both region semantics are served: the order-sensitive GIR
 //! ([`ShardedDataset::gir`]) and the order-insensitive GIR\* of §7.1
@@ -46,7 +48,7 @@ pub use dataset::ShardedDataset;
 pub use placement::{grid_band, Placement};
 pub use serve::{
     repair_region_sharded, repair_region_sharded_with, repair_region_star_sharded,
-    repair_region_star_sharded_with, RepairSweeps, ShardedGirServer, ShardedServerConfig,
+    repair_region_star_sharded_with, RemovedOwners, RepairSweeps, ShardedGirServer,
 };
 
 #[cfg(test)]

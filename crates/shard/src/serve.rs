@@ -1,15 +1,15 @@
-//! Serving over a sharded dataset: the [`gir_serve::GirServer`]
-//! executor pattern with [`ShardedDataset`] underneath.
+//! Serving over a sharded dataset: [`ShardedDataset`] as a
+//! [`gir_serve::Backend`] of the one serve loop ([`gir_serve::Server`]).
 //!
-//! * **Queries** fan across the scoped worker pool exactly as in the
-//!   single-tree server (cache-probe first, compute-and-admit on miss),
-//!   with misses served by [`gir_core::gir_sharded`] — per-shard work
-//!   over each shard's prune index, merged and intersected into one
-//!   region.
+//! * **Queries** run the loop's cache probe first; a miss goes through
+//!   the same planned dispatch as the single-tree server
+//!   ([`gir_serve::local_miss`]) over every shard's view — with `S > 1`
+//!   that is [`gir_core::gir_sharded`]: per-shard work over each shard's
+//!   prune index, merged and intersected into one region.
 //! * **Updates** route to the owning shard only: the tree mutation, the
 //!   skyline/mirror repair, and the Phase-2 system maintenance all stay
 //!   shard-local (non-owning shards merely purge systems *naming* the
-//!   record). The cached-entry reconciliation then runs the usual
+//!   record). The loop's cache reconciliation then runs the usual
 //!   classify → shrink → repair → evict pass, with the **repair sweep
 //!   confined to the shards that lost a contributor**: a region
 //!   produced by `gir_sharded` is the intersection of per-shard-exact
@@ -17,442 +17,149 @@
 //!   the maximality of shard `s`'s system — the FP repair sweep runs
 //!   over tree `s` alone, every other shard's constraints carry over
 //!   verbatim ([`repair_region_sharded`]).
-//!
-//! The freshness argument is unchanged from `gir_serve`: queries hold
-//! the dataset read lock, updates take the write lock and reconcile
-//! the cache before releasing it.
 
 use crate::dataset::ShardedDataset;
-use crate::placement::Placement;
 use gir_core::fp::fp_repair;
-use gir_core::plan::{MissPath, PlanInputs, Planner, PlannerStats};
-use gir_core::{
-    fp_star_repair, CacheKey, GirEngine, GirError, GirOutput, GirRegion, Method, PruneIndexStats,
-    RegionKind, RepairRequest,
-};
+use gir_core::{fp_star_repair, GirError, GirOutput, GirRegion, RegionKind, RepairRequest};
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_query::{QueryVector, Record, ScoringFunction, TopKResult};
 use gir_rtree::RTreeError;
 use gir_serve::{
-    compute_response, execute_batch, BatchResult, CacheStats, ShardedGirCache, TopKRequest,
-    TopKResponse, Update, UpdateReport,
+    local_miss, Applied, Backend, MissContext, Server, TopKRequest, Update, UpdateReport,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{PoisonError, RwLock};
-use std::time::Instant;
 
-/// Sharded-server configuration.
-#[derive(Debug, Clone)]
-pub struct ShardedServerConfig {
-    /// Worker threads per batch (clamped to ≥ 1).
-    pub threads: usize,
-    /// Dataset shards (independent R\*-trees).
-    pub data_shards: usize,
-    /// Record-to-shard placement policy.
-    pub placement: Placement,
-    /// GIR-cache shards (rounded up to a power of two; unrelated to
-    /// `data_shards` — the cache shards by query affinity, the dataset
-    /// by record placement).
-    pub cache_shards: usize,
-    /// LRU capacity per cache shard.
-    pub cache_capacity: usize,
-    /// Phase-2 method for misses. Non-linear scoring functions fall
-    /// back to [`Method::SkylinePruning`] automatically (§7.2).
-    pub method: Method,
-    /// Pins every planned miss to one [`MissPath`] (config-level twin
-    /// of `GIR_FORCE_PATH`; this field wins when both are set). With
-    /// more than one data shard only [`MissPath::Sharded`] is feasible
-    /// — there is no single tree to dispatch the others against — so an
-    /// infeasible force falls back to the sharded plan; at
-    /// `data_shards: 1` every path is available.
-    pub force_path: Option<MissPath>,
-}
+/// The owner shards of every delete a batch applied, by record id — a
+/// set per id, since duplicate ids may be deleted at locations owned by
+/// different shards within one batch. Scopes the repair sweeps.
+pub type RemovedOwners = HashMap<u64, BTreeSet<usize>>;
 
-impl Default for ShardedServerConfig {
-    fn default() -> Self {
-        ShardedServerConfig {
-            threads: std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(4)
-                .min(8),
-            data_shards: 4,
-            placement: Placement::Hash,
-            cache_shards: 16,
-            cache_capacity: 32,
-            method: Method::FacetPruning,
-            force_path: None,
-        }
-    }
-}
+/// The server over a partitioned dataset.
+///
+/// # Examples
+///
+/// ```
+/// use gir_query::{Record, ScoringFunction};
+/// use gir_serve::{ServerConfig, TopKRequest};
+/// use gir_shard::{Placement, ShardedDataset, ShardedGirServer};
+///
+/// // A small deterministic 3-d dataset, hash-partitioned 4 ways.
+/// let mut s = 0x5EEDu64;
+/// let mut next = move || {
+///     s ^= s << 13;
+///     s ^= s >> 7;
+///     s ^= s << 17;
+///     (s >> 11) as f64 / (1u64 << 53) as f64
+/// };
+/// let recs: Vec<Record> = (0..400)
+///     .map(|i| Record::new(i, vec![next(), next(), next()]))
+///     .collect();
+/// let data = ShardedDataset::build(3, &recs, 4, Placement::Hash).unwrap();
+///
+/// let server = ShardedGirServer::new(
+///     data,
+///     ScoringFunction::linear(3),
+///     ServerConfig {
+///         threads: 1,
+///         ..ServerConfig::default()
+///     },
+/// );
+/// // Jittered repeats of one preference anchor: the first request
+/// // computes and caches, the rest fall inside its region.
+/// let reqs: Vec<TopKRequest> = (0..16)
+///     .map(|i| TopKRequest::new(vec![0.6 + 0.0004 * (i % 5) as f64, 0.5, 0.7], 8))
+///     .collect();
+/// let batch = server.run_batch(&reqs);
+/// assert_eq!(batch.responses.len(), 16);
+/// assert!(batch.stats.hits > 0);
+/// ```
+pub type ShardedGirServer = Server<ShardedDataset>;
 
-/// A concurrent GIR serving engine over a partitioned dataset.
-pub struct ShardedGirServer {
-    data: RwLock<ShardedDataset>,
-    cache: ShardedGirCache,
-    planner: Planner,
-    scoring: ScoringFunction,
-    cfg: ShardedServerConfig,
-}
+impl Backend for ShardedDataset {
+    type Repair = RemovedOwners;
 
-impl ShardedGirServer {
-    /// Builds a server around an already-partitioned dataset.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gir_query::{Record, ScoringFunction};
-    /// use gir_serve::TopKRequest;
-    /// use gir_shard::{Placement, ShardedDataset, ShardedGirServer, ShardedServerConfig};
-    ///
-    /// // A small deterministic 3-d dataset, hash-partitioned 4 ways.
-    /// let mut s = 0x5EEDu64;
-    /// let mut next = move || {
-    ///     s ^= s << 13;
-    ///     s ^= s >> 7;
-    ///     s ^= s << 17;
-    ///     (s >> 11) as f64 / (1u64 << 53) as f64
-    /// };
-    /// let recs: Vec<Record> = (0..400)
-    ///     .map(|i| Record::new(i, vec![next(), next(), next()]))
-    ///     .collect();
-    /// let data = ShardedDataset::build(3, &recs, 4, Placement::Hash).unwrap();
-    ///
-    /// let server = ShardedGirServer::new(
-    ///     data,
-    ///     ScoringFunction::linear(3),
-    ///     ShardedServerConfig {
-    ///         threads: 1,
-    ///         ..ShardedServerConfig::default()
-    ///     },
-    /// );
-    /// // Jittered repeats of one preference anchor: the first request
-    /// // computes and caches, the rest fall inside its region.
-    /// let reqs: Vec<TopKRequest> = (0..16)
-    ///     .map(|i| TopKRequest::new(vec![0.6 + 0.0004 * (i % 5) as f64, 0.5, 0.7], 8))
-    ///     .collect();
-    /// let batch = server.run_batch(&reqs);
-    /// assert_eq!(batch.responses.len(), 16);
-    /// assert!(batch.stats.hits > 0);
-    /// ```
-    pub fn new(data: ShardedDataset, scoring: ScoringFunction, cfg: ShardedServerConfig) -> Self {
-        assert_eq!(scoring.dim(), data.dim(), "scoring dimensionality mismatch");
-        let cache = ShardedGirCache::new(cfg.cache_shards, cfg.cache_capacity);
-        let planner = match cfg.force_path {
-            Some(p) => Planner::with_forced(Some(p)),
-            None => Planner::new(),
-        };
-        ShardedGirServer {
-            data: RwLock::new(data),
-            cache,
-            planner,
-            scoring,
-            cfg,
-        }
+    fn dim(&self) -> usize {
+        ShardedDataset::dim(self)
     }
 
-    /// Partitions `records` per the config and builds the server.
-    pub fn build(
-        d: usize,
-        records: &[Record],
-        scoring: ScoringFunction,
-        cfg: ShardedServerConfig,
-    ) -> Result<Self, RTreeError> {
-        let data = ShardedDataset::build(d, records, cfg.data_shards, cfg.placement)?;
-        Ok(Self::new(data, scoring, cfg))
+    fn num_records(&self) -> u64 {
+        self.len()
     }
 
-    /// The scoring function requests are evaluated under.
-    pub fn scoring(&self) -> &ScoringFunction {
-        &self.scoring
-    }
-
-    /// The effective Phase-2 method (configured, or SP when the scoring
-    /// function is non-linear — §7.2).
-    pub fn method(&self) -> Method {
-        if self.cfg.method.supports(&self.scoring) {
-            self.cfg.method
-        } else {
-            Method::SkylinePruning
-        }
-    }
-
-    /// Aggregated GIR-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Per-shard prune-index counters, in shard order.
-    pub fn prune_stats(&self) -> Vec<PruneIndexStats> {
-        let data = self.read_data();
-        data.views().iter().map(|v| v.index.stats()).collect()
-    }
-
-    /// Live records per data shard.
-    pub fn occupancy(&self) -> Vec<u64> {
-        self.read_data().occupancy()
-    }
-
-    /// Total live records.
-    pub fn num_records(&self) -> u64 {
-        self.read_data().len()
-    }
-
-    /// A snapshot of every live record (takes the read lock).
-    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
-        self.read_data().scan_all()
-    }
-
-    /// Consistent cut of the cache's per-shard maintenance counters
-    /// (never observes a cache shard mid-batch; same contract as
-    /// [`gir_serve::GirServer::maintenance_snapshot`]).
-    pub fn maintenance_snapshot(&self) -> gir_obs::ScopesSnapshot {
-        self.cache.maintenance_snapshot()
-    }
-
-    fn read_data(&self) -> std::sync::RwLockReadGuard<'_, ShardedDataset> {
-        self.data.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Executes a batch of requests across the worker pool (the
-    /// executor shared with [`gir_serve::GirServer`]): cache-probe
-    /// first, sharded compute-and-admit on miss. Responses preserve
-    /// request order.
-    pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        let method = self.method();
-        // Hold the read lock for the whole batch: updates apply between
-        // batches, never inside one.
-        let data = self.read_data();
-        let data_ref: &ShardedDataset = &data;
-        let work = requests
-            .len()
-            .saturating_mul(data_ref.len().max(1) as usize);
-        let out = execute_batch(requests, work, self.cfg.threads, method.label(), |req| {
-            self.serve_one(data_ref, req, method)
-        });
-        drop(data);
-        out
-    }
-
-    fn serve_one(&self, data: &ShardedDataset, req: &TopKRequest, method: Method) -> TopKResponse {
-        gir_serve::serve_traced(req, || {
-            let t0 = Instant::now();
-            let key = CacheKey::new(&req.weights, req.k, &self.scoring).kind(req.kind);
-            let lookup_span = tracing::span!("cache_lookup");
-            let found = self.cache.get(&key);
-            drop(lookup_span);
-            if let Some(records) = found {
-                return TopKResponse {
-                    ids: records.iter().map(|r| r.id).collect(),
-                    from_cache: true,
-                    latency_us: t0.elapsed().as_micros() as u64,
-                    failed: false,
-                    pages: 0,
-                    error: None,
-                    explain: None,
-                };
-            }
-            let q = QueryVector::new(req.weights.coords().to_vec());
-            let computed = self.serve_miss_planned(data, &q, req, method);
-            compute_response(computed, t0, |out| {
-                let _admit_span = tracing::span!("admit");
-                self.cache.admit(&key, out.region, out.result);
-            })
-        })
-    }
-
-    /// One planned miss over the partitioned dataset. With `S > 1` the
-    /// planner can only pick the sharded fan-out (the decision is still
-    /// recorded — the EXPLAIN phase and `planner.*` counters stay
-    /// uniform across server types); at `S = 1` the single shard is a
-    /// plain tree + index pair, and the full cold / indexed / sharded
-    /// choice opens up exactly as on [`gir_serve::GirServer`].
-    fn serve_miss_planned(
+    /// The planned miss over every shard's view. With `S > 1` only the
+    /// sharded fan-out is feasible (the decision is still recorded, so
+    /// the EXPLAIN phase and `planner.*` counters stay uniform across
+    /// server types); at `S = 1` the single shard is a plain tree +
+    /// index pair and the full cold / indexed / sharded choice opens
+    /// up, as on `gir_serve::GirServer`.
+    fn miss(
         &self,
-        data: &ShardedDataset,
+        cx: &MissContext<'_>,
         q: &QueryVector,
         req: &TopKRequest,
-        method: Method,
     ) -> Result<GirOutput, GirError> {
-        // Opened before input gathering so planning work lands inside
-        // the `planner` phase (see `GirServer::serve_miss_planned`).
-        let mut planner_span = tracing::span!("planner");
-        let views = data.views();
-        let skyline: usize = views.iter().map(|v| v.index.stats().skyline_size).sum();
-        let built = views.iter().any(|v| v.index.is_built());
-        let inputs = PlanInputs {
-            n: data.len() as usize,
-            d: self.scoring.dim(),
-            method,
-            kind: req.kind,
-            skyline,
-            index_built: built,
-            shards: data.num_shards(),
-        };
-        let decision = self.planner.plan(&inputs);
-        gir_serve::record_planner_phase(&mut planner_span, &decision);
-        drop(planner_span);
-        if decision.forced && decision.path == MissPath::IndexedRecompute {
-            // Forced recompute isolates the cold-Phase-2 cost: drop
-            // every shard's shared systems first (see GirServer).
-            for v in &views {
-                v.index.clear_phase2();
-            }
-        }
-        let watch_reuse = decision.path != MissPath::Cold && method != Method::FullScan;
-        let phase2_hits = |views: &[gir_core::ShardView<'_>]| -> u64 {
-            views.iter().map(|v| v.index.phase2_hits()).sum()
-        };
-        let h0 = watch_reuse.then(|| phase2_hits(&views));
-        let compute_span = tracing::span!(
-            "compute",
-            method = method.label(),
-            path = decision.path.label()
-        );
-        let t0 = Instant::now();
-        let computed = match (decision.path, req.kind) {
-            (MissPath::Sharded, RegionKind::Gir) => data.gir(&self.scoring, q, req.k, method),
-            (MissPath::Sharded, RegionKind::GirStar) => {
-                data.gir_star(&self.scoring, q, req.k, method)
-            }
-            // Single-tree paths: only reachable at S = 1 (the planner
-            // marks them infeasible otherwise), where shard 0 holds the
-            // whole dataset.
-            (path, kind) => {
-                let engine = GirEngine::with_scoring(data.shard_tree(0), self.scoring.clone());
-                match (path, kind) {
-                    (MissPath::Cold, RegionKind::Gir) => engine.gir(q, req.k, method),
-                    (MissPath::Cold, RegionKind::GirStar) => engine.gir_star(q, req.k, method),
-                    (_, RegionKind::Gir) => engine.gir_indexed(q, req.k, method, views[0].index),
-                    (_, RegionKind::GirStar) => {
-                        engine.gir_star_indexed(q, req.k, method, views[0].index)
-                    }
-                }
-            }
-        };
-        let actual_ns = t0.elapsed().as_nanos() as u64;
-        drop(compute_span);
-        let calibrate_span = tracing::span!("calibrate", actual_us = actual_ns as f64 / 1e3);
-        let reused = h0.map(|h| phase2_hits(&views) > h);
-        let outcome = self.planner.observe(&decision, actual_ns, reused);
-        if tracing::enabled() {
-            gir_serve::publish_planner_decision(&decision, actual_ns, outcome);
-        }
-        drop(calibrate_span);
-        computed
+        local_miss(&self.views(), self.len() as usize, cx, q, req)
     }
 
-    /// Planner decision counters (per-path tallies, probes, forced
-    /// dispatches, calibrator drift/refit activity).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.planner.stats()
-    }
-
-    /// The planner's forced-path override, if any (config field or
-    /// `GIR_FORCE_PATH`).
-    pub fn forced_path(&self) -> Option<MissPath> {
-        self.planner.forced()
-    }
-
-    /// Applies a batch of updates under the dataset write lock and
-    /// reconciles the cache before releasing it. Every delta goes to
-    /// the owning shard only; cached entries are classified once per
-    /// batch and repaired shard-locally ([`repair_region_sharded`]).
-    pub fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        let mut data = self.data.write().unwrap_or_else(PoisonError::into_inner);
-        let mut report = UpdateReport::default();
+    /// Every delta goes to the owning shard only.
+    fn apply(&mut self, updates: &[Update]) -> Applied<RemovedOwners> {
         let mut batch = gir_core::DeltaBatch::new();
-        // Owner shards of every applied delete (by the delete's
-        // recorded location) — the repair closure needs them to scope
-        // its sweeps. A set per id: duplicate ids may be deleted at
-        // locations owned by different shards within one batch.
-        let mut removed_owner: HashMap<u64, BTreeSet<usize>> = HashMap::new();
-        let mut failure: Option<RTreeError> = None;
+        let mut report = UpdateReport::default();
+        let mut removed_owner = RemovedOwners::new();
+        let mut error = None;
         for u in updates {
             match u {
-                Update::Insert(rec) => match data.insert(rec.clone()) {
+                Update::Insert(rec) => match self.insert(rec.clone()) {
                     Ok(()) => {
                         report.inserted += 1;
                         batch.record_insert(rec);
                     }
-                    Err(e) => failure = Some(e),
+                    Err(e) => error = Some(e),
                 },
-                Update::Delete { id, attrs } => match data.delete(*id, attrs) {
-                    Ok(true) => {
+                Update::Delete { id, attrs } => {
+                    let deleted = self.delete(*id, attrs);
+                    // The owning shard may have mutated its tree before
+                    // an index error: record the delete either way so
+                    // the cache still reconciles with it.
+                    if !matches!(deleted, Ok(false)) {
                         report.deleted += 1;
                         removed_owner
                             .entry(*id)
                             .or_default()
-                            .insert(data.shard_of(*id, attrs));
+                            .insert(self.shard_of(*id, attrs));
                         batch.record_delete_at(*id, attrs);
                     }
-                    Ok(false) => report.missed_deletes += 1,
-                    Err(e) => {
-                        // The owning shard may have mutated its tree
-                        // before the index error: record the delete so
-                        // the cache still reconciles with it.
-                        report.deleted += 1;
-                        removed_owner
-                            .entry(*id)
-                            .or_default()
-                            .insert(data.shard_of(*id, attrs));
-                        batch.record_delete_at(*id, attrs);
-                        failure = Some(e);
+                    match deleted {
+                        Ok(true) => {}
+                        Ok(false) => report.missed_deletes += 1,
+                        Err(e) => error = Some(e),
                     }
-                },
+                }
             }
-            if failure.is_some() {
+            if error.is_some() {
                 break;
             }
         }
-        let data_ref: &ShardedDataset = &data;
-        let outcome = self.cache.apply_batch(&batch, |req| {
-            // FP repair needs linear scoring (§7.2); declining keeps
-            // the entry sound but non-maximal.
-            if !req.scoring.is_linear() {
-                return None;
-            }
-            match req.kind {
-                RegionKind::Gir => repair_region_sharded(data_ref, req, &removed_owner),
-                RegionKind::GirStar => repair_region_star_sharded(data_ref, req, &removed_owner),
-            }
-        });
-        report.evicted = outcome.evicted;
-        report.repaired = outcome.repaired;
-        report.shrunk = outcome.shrunk;
-        report.untouched = outcome.untouched;
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
+        Applied {
+            batch,
+            report,
+            repair: removed_owner,
+            error,
         }
     }
-}
 
-/// The durability hooks (`gir_serve::DurableServer` wraps this server
-/// exactly as it wraps the single-tree one): the consistent cut takes
-/// the dataset read lock — updates hold the write lock for apply +
-/// cache sweep, so the cut always lands on a batch boundary — and
-/// returns the records per shard.
-impl gir_serve::RecoverableServer for ShardedGirServer {
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        ShardedGirServer::apply_updates(self, updates)
+    /// Shard-local repair: only the shards that lost a contributor are
+    /// re-swept ([`repair_region_sharded`]).
+    fn repair(&self, removed_owner: &RemovedOwners, req: &RepairRequest<'_>) -> Option<GirRegion> {
+        match req.kind {
+            RegionKind::Gir => repair_region_sharded(self, req, removed_owner),
+            RegionKind::GirStar => repair_region_star_sharded(self, req, removed_owner),
+        }
     }
 
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        ShardedGirServer::run_batch(self, requests)
-    }
-
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
-        let data = self.read_data();
-        debug_assert!(
-            self.cache
-                .maintenance_snapshot()
-                .shards
-                .iter()
-                .all(|s| s.epoch % 2 == 0),
-            "consistent cut observed a cache shard mid-batch"
-        );
-        data.shard_records()
+    fn cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        self.shard_records()
     }
 }
 
@@ -558,7 +265,7 @@ impl RepairSweeps for ShardedDataset {
 pub fn repair_region_sharded(
     data: &ShardedDataset,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     repair_region_sharded_with(data, req, removed_owner)
 }
@@ -568,7 +275,7 @@ pub fn repair_region_sharded(
 pub fn repair_region_sharded_with<S: RepairSweeps + ?Sized>(
     data: &S,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     let scoring = req.scoring;
     debug_assert!(scoring.is_linear());
@@ -660,7 +367,7 @@ pub fn repair_region_sharded_with<S: RepairSweeps + ?Sized>(
 pub fn repair_region_star_sharded(
     data: &ShardedDataset,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     repair_region_star_sharded_with(data, req, removed_owner)
 }
@@ -670,7 +377,7 @@ pub fn repair_region_star_sharded(
 pub fn repair_region_star_sharded_with<S: RepairSweeps + ?Sized>(
     data: &S,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     let scoring = req.scoring;
     debug_assert!(scoring.is_linear());
@@ -734,7 +441,10 @@ pub fn repair_region_star_sharded_with<S: RepairSweeps + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::Placement;
+    use gir_core::Method;
     use gir_query::naive_topk;
+    use gir_serve::ServerConfig;
 
     fn records(n: usize, d: usize, seed: u64) -> Vec<Record> {
         let mut s = seed | 1;
@@ -762,18 +472,14 @@ mod tests {
     fn sharded_batches_match_naive_and_hit_cache() {
         let data = records(1500, 3, 0x81);
         for placement in [Placement::Hash, Placement::Grid] {
-            let server = ShardedGirServer::build(
-                3,
-                &data,
+            let server = ShardedGirServer::new(
+                ShardedDataset::build(3, &data, 4, placement).unwrap(),
                 ScoringFunction::linear(3),
-                ShardedServerConfig {
+                ServerConfig {
                     threads: 2,
-                    data_shards: 4,
-                    placement,
-                    ..ShardedServerConfig::default()
+                    ..ServerConfig::default()
                 },
-            )
-            .unwrap();
+            );
             let reqs = jittered(100, 8);
             let batch = server.run_batch(&reqs);
             assert!(batch.stats.hits > 0, "jittered repeats should hit");
@@ -788,21 +494,18 @@ mod tests {
     #[test]
     fn updates_route_to_owning_shard_and_stay_fresh() {
         let mut mirror = records(1200, 3, 0x82);
-        let server = ShardedGirServer::build(
-            3,
-            &mirror,
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(3, &mirror, 4, Placement::Hash).unwrap(),
             ScoringFunction::linear(3),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: 1,
-                data_shards: 4,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let reqs = jittered(40, 6);
         let _ = server.run_batch(&reqs);
         assert!(server.cache_stats().entries > 0);
-        let occupancy_before = server.occupancy();
+        let occupancy_before = server.dataset().occupancy();
 
         // A dominating insert must enter every subsequent top-k...
         let champ = Record::new(9_999_999, vec![0.99, 0.99, 0.99]);
@@ -812,7 +515,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.inserted, 1);
         // ... and only one shard's occupancy moved.
-        let occupancy_after = server.occupancy();
+        let occupancy_after = server.dataset().occupancy();
         let moved = occupancy_before
             .iter()
             .zip(&occupancy_after)
@@ -850,17 +553,14 @@ mod tests {
         // entries keep serving *fresh* hits (the shard-local repair is
         // exercised through the report's `repaired` counter).
         let mut mirror = records(900, 3, 0x83);
-        let server = ShardedGirServer::build(
-            3,
-            &mirror,
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(3, &mirror, 4, Placement::Hash).unwrap(),
             ScoringFunction::linear(3),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: 1,
-                data_shards: 4,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let reqs = jittered(30, 5);
         let _ = server.run_batch(&reqs);
 
@@ -940,17 +640,14 @@ mod tests {
             v
         };
         let mut mirror = records(900, 3, 0x85);
-        let server = ShardedGirServer::build(
-            3,
-            &mirror,
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(3, &mirror, 4, Placement::Hash).unwrap(),
             ScoringFunction::linear(3),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: 1,
-                data_shards: 4,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let reqs: Vec<TopKRequest> = (0..30)
             .map(|i| {
                 let j = 0.0005 * (i % 11) as f64;
@@ -1026,18 +723,15 @@ mod tests {
     #[test]
     fn nonlinear_scoring_falls_back_to_sp() {
         let data = records(400, 4, 0x84);
-        let server = ShardedGirServer::build(
-            4,
-            &data,
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(4, &data, 2, Placement::Hash).unwrap(),
             ScoringFunction::mixed4(),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: 2,
-                data_shards: 2,
                 method: Method::FacetPruning,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(server.method(), Method::SkylinePruning);
         let reqs = vec![TopKRequest::new(vec![0.5, 0.5, 0.5, 0.5], 5)];
         let batch = server.run_batch(&reqs);

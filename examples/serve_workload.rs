@@ -4,7 +4,8 @@
 //!
 //! 12k anchored-jitter top-k queries in 24 batches, with insert/delete
 //! churn applied (and swept through the cache) before each batch, run
-//! across a worker pool of ≥ 4 threads. The churn is *hot*: 30% of
+//! across a worker pool of ≥ 4 threads (in process; the distributed
+//! coordinator serves each batch sequentially). The churn is *hot*: 30% of
 //! insertions land in the competitive `[0.7, 1)^d` band and 50% of
 //! deletions remove the oldest live hot insert (the PR 2
 //! `insert_hot_fraction` / `delete_hot_fraction` workload knobs), so
@@ -171,7 +172,6 @@ fn main() {
                 &mirror,
                 ScoringFunction::linear(d),
                 DistributedServerConfig {
-                    threads,
                     data_shards: 4,
                     cache_shards: 16,
                     cache_capacity: 32,
@@ -224,14 +224,15 @@ fn main() {
     let total_queries: usize = traffic.iter().map(|b| b.queries.len()).sum();
     let total_updates: usize = traffic.iter().map(|b| b.updates.len()).sum();
     let mode = if star { "GIR* (set)" } else { "GIR (ranked)" };
-    let engine = if distributed {
-        "distributed S=4 loopback"
+    // The distributed coordinator serves each batch sequentially.
+    let (engine, served_threads) = if distributed {
+        ("distributed S=4 loopback", 1)
     } else {
-        "in-process"
+        ("in-process", threads)
     };
     println!(
         "replaying {total_queries} queries + {total_updates} updates in {} batches \
-         on {threads} threads (n={n}, d={d}, FP, {mode}, {engine})\n",
+         on {served_threads} threads (n={n}, d={d}, FP, {mode}, {engine})\n",
         traffic.len()
     );
 
@@ -240,7 +241,7 @@ fn main() {
         v.sort_unstable();
         v
     };
-    let mut aggregate = ServeStats::default();
+    let mut outs = Vec::with_capacity(traffic.len());
     let mut verified_hits = 0u64;
     let mut evicted_total = 0usize;
     let mut repaired_total = 0usize;
@@ -288,8 +289,9 @@ fn main() {
         if i % 6 == 0 {
             println!("batch {i:>2}: {}", out.stats);
         }
-        aggregate.merge(&out.stats);
+        outs.push(out);
     }
+    let aggregate = ServeStats::from_batches(&outs);
 
     let cache = server.cache_stats();
     println!("\naggregate: {aggregate}");
@@ -313,7 +315,10 @@ fn main() {
         total_queries + total_updates >= 10_000,
         "driver must replay ≥ 10k events"
     );
-    assert!(threads >= 4, "driver must use ≥ 4 threads");
+    assert!(
+        distributed || threads >= 4,
+        "the in-process engine must use ≥ 4 threads"
+    );
     assert!(cache.hits > 0, "workload must produce cache hits");
     assert!(verified_hits > 0);
 

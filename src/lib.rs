@@ -70,6 +70,6 @@ pub mod prelude {
     pub use gir_query::{QueryVector, Record, ScoringFunction};
     pub use gir_rtree::RTree;
     pub use gir_serve::{GirServer, ServerConfig, TopKRequest, Update};
-    pub use gir_shard::{Placement, ShardedDataset, ShardedGirServer, ShardedServerConfig};
+    pub use gir_shard::{Placement, ShardedDataset, ShardedGirServer};
     pub use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
 }

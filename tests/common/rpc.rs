@@ -47,22 +47,23 @@ pub fn one_shot_faulty_factory(plan: Arc<FaultPlan>) -> EndpointFactory {
     })
 }
 
-/// Kills the worker the moment an `Apply` arrives, while `kills` holds
-/// charges — the coordinator sees `Closed` mid-broadcast with the
-/// shard's apply state unknown. `FaultyEndpoint` deliberately exempts
-/// `Apply` traffic (rejoin replays must stay reliable under the query
-/// fault plans), so the apply-path contract needs its own injector.
-struct ApplyKillEndpoint {
+/// Kills the worker the moment a request matching `kills_on` arrives,
+/// while `kills` holds charges. `FaultyEndpoint` deliberately exempts
+/// `Apply` and `Cut` traffic (rejoin replays and snapshot cuts must
+/// stay reliable under the query fault plans), so the update-path
+/// contracts need their own injector.
+struct KillEndpoint {
     inner: Option<Box<dyn ShardEndpoint>>,
+    kills_on: fn(&ShardRequest) -> bool,
     kills: Arc<AtomicU32>,
 }
 
-impl ShardEndpoint for ApplyKillEndpoint {
+impl ShardEndpoint for KillEndpoint {
     fn call(&mut self, req: &ShardRequest, timeout: Duration) -> Result<ShardResponse, RpcError> {
         let Some(inner) = self.inner.as_mut() else {
             return Err(RpcError::Closed);
         };
-        if matches!(req, ShardRequest::Apply { .. })
+        if (self.kills_on)(req)
             && self
                 .kills
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -82,24 +83,45 @@ impl ShardEndpoint for ApplyKillEndpoint {
     }
 }
 
-/// Thread workers where shard `target`'s endpoints die on `Apply`
-/// while `kills` holds charges. The charge pool is shared across
-/// endpoint instances of the shard, so a replacement spawned by the
-/// rejoin protocol can be made to fail too (one charge per kill);
-/// start at zero and `store` charges right before the broadcast under
-/// test.
-pub fn apply_kill_factory(target: usize, kills: Arc<AtomicU32>) -> EndpointFactory {
+/// Thread workers where shard `target`'s endpoints die on requests
+/// matching `kills_on` while `kills` holds charges. The charge pool is
+/// shared across endpoint instances of the shard, so a replacement
+/// spawned by the rejoin protocol can be made to fail too (one charge
+/// per kill); start at zero and `store` charges right before the call
+/// under test.
+fn kill_factory(
+    target: usize,
+    kills_on: fn(&ShardRequest) -> bool,
+    kills: Arc<AtomicU32>,
+) -> EndpointFactory {
     Box::new(move |shard| {
         let ep: Box<dyn ShardEndpoint> = Box::new(ThreadEndpoint::spawn());
         if shard == target {
-            Box::new(ApplyKillEndpoint {
+            Box::new(KillEndpoint {
                 inner: Some(ep),
+                kills_on,
                 kills: kills.clone(),
             })
         } else {
             ep
         }
     })
+}
+
+/// Shard `target` dies on `Apply`: the coordinator sees `Closed`
+/// mid-broadcast with the shard's apply state unknown.
+pub fn apply_kill_factory(target: usize, kills: Arc<AtomicU32>) -> EndpointFactory {
+    kill_factory(
+        target,
+        |req| matches!(req, ShardRequest::Apply { .. }),
+        kills,
+    )
+}
+
+/// Shard `target` dies on `Cut`: a snapshot roll fails after its batch
+/// was broadcast and applied everywhere.
+pub fn cut_kill_factory(target: usize, kills: Arc<AtomicU32>) -> EndpointFactory {
+    kill_factory(target, |req| matches!(req, ShardRequest::Cut), kills)
 }
 
 /// Tight backoff so injected timeouts resolve fast; snapshots every
@@ -115,11 +137,11 @@ pub fn remote_cfg() -> RemoteConfig {
 }
 
 /// The distributed server, configured head-to-head comparable with
-/// [`inproc_cfg`]: same cache geometry, same method, sequential batch
-/// execution for deterministic probe order.
+/// [`inproc_server`]: same cache geometry, same method, sequential batch
+/// execution (the coordinator's only mode) for deterministic probe
+/// order.
 pub fn dist_cfg(s: usize, p: Placement) -> DistributedServerConfig {
     DistributedServerConfig {
-        threads: 1,
         data_shards: s,
         placement: p,
         cache_shards: 4,
@@ -129,15 +151,22 @@ pub fn dist_cfg(s: usize, p: Placement) -> DistributedServerConfig {
     }
 }
 
-/// The in-process oracle twin of [`dist_cfg`].
-pub fn inproc_cfg(s: usize, p: Placement) -> ShardedServerConfig {
-    ShardedServerConfig {
+/// The in-process oracle twin of [`dist_cfg`]'s server.
+pub fn inproc_server(
+    d: usize,
+    records: &[Record],
+    scoring: ScoringFunction,
+    s: usize,
+    p: Placement,
+) -> ShardedGirServer {
+    let data = ShardedDataset::build(d, records, s, p).unwrap();
+    let cfg = ServerConfig {
         threads: 1,
-        data_shards: s,
-        placement: p,
-        cache_shards: 4,
-        cache_capacity: 16,
+        shards: 4,
+        shard_capacity: 16,
         method: Method::FacetPruning,
         force_path: None,
-    }
+        ..ServerConfig::default()
+    };
+    ShardedGirServer::new(data, scoring, cfg)
 }

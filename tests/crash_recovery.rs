@@ -53,20 +53,20 @@ const FSYNCS: [FsyncPolicy; 3] = [
     FsyncPolicy::Never,
 ];
 
-fn server_cfg(s: usize, p: Placement) -> ShardedServerConfig {
-    ShardedServerConfig {
+fn server_cfg() -> ServerConfig {
+    ServerConfig {
         threads: 1, // deterministic probe order: hit patterns comparable
-        data_shards: s,
-        placement: p,
-        cache_shards: 4,
-        cache_capacity: 16,
+        shards: 4,
+        shard_capacity: 16,
         method: Method::FacetPruning,
         force_path: None,
+        ..ServerConfig::default()
     }
 }
 
 fn build_server(d: usize, records: &[Record], s: usize, p: Placement) -> ShardedGirServer {
-    ShardedGirServer::build(d, records, ScoringFunction::linear(d), server_cfg(s, p)).unwrap()
+    let data = ShardedDataset::build(d, records, s, p).unwrap();
+    ShardedGirServer::new(data, ScoringFunction::linear(d), server_cfg())
 }
 
 fn assert_responses_equal(
@@ -168,7 +168,12 @@ fn run_one(
     clock.disarm();
     let (recovered, report) = DurableServer::recover_in(Box::new(disk), dcfg, |snap| {
         let recs: Vec<Record> = snap.shards.into_iter().flatten().collect();
-        ShardedGirServer::build(d, &recs, ScoringFunction::linear(d), server_cfg(s, p))
+        let data = ShardedDataset::build(d, &recs, s, p)?;
+        Ok(ShardedGirServer::new(
+            data,
+            ScoringFunction::linear(d),
+            server_cfg(),
+        ))
     })
     .unwrap();
     let total = report.batches();
@@ -197,8 +202,8 @@ fn run_one(
         ctx
     );
     prop_assert_eq!(
-        recovered.inner().occupancy(),
-        oracle.occupancy(),
+        recovered.inner().dataset().occupancy(),
+        oracle.dataset().occupancy(),
         "{}: recovered partition diverged",
         ctx
     );

@@ -1,7 +1,8 @@
 //! End-to-end EXPLAIN coverage (`TopKRequest::explain`): for every
 //! miss path — **cold** (no prune index), **indexed-recompute** (shared
 //! Phase-2 system empty), **indexed-reuse** (entry evicted from the
-//! cache but its Phase-2 system still warm), and **sharded** — and both
+//! cache but its Phase-2 system still warm), **sharded**, and
+//! **distributed** (RPC shard workers behind the same serve loop) — and both
 //! region kinds (GIR / GIR\*), the captured span tree must break the
 //! request down into phases whose durations account for the end-to-end
 //! latency within 10%, and the work counters (LP calls, BRS traversal,
@@ -9,6 +10,7 @@
 
 use gir::obs::ExplainReport;
 use gir::prelude::*;
+use gir::rpc::{DistributedGirServer, DistributedServerConfig, ThreadEndpoint};
 use gir::serve::{RegionKind, TopKResponse};
 use std::sync::Arc;
 
@@ -129,18 +131,14 @@ fn explain_covers_indexed_recompute_and_reuse_paths() {
 fn explain_covers_sharded_miss_path() {
     let data = dataset(6_000);
     for kind in KINDS {
-        let server = ShardedGirServer::build(
-            D,
-            &data,
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(D, &data, 4, Placement::Hash).expect("sharded build"),
             ScoringFunction::linear(D),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: 1,
-                data_shards: 4,
-                placement: Placement::Hash,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .expect("sharded build");
+        );
         let out = server.run_batch(&[request(kind, &[0.55, 0.62, 0.48])]);
         let report = assert_phases_cover_latency(&out.responses[0], kind.label());
         // The sharded plan stamps every per-shard span with its shard
@@ -148,6 +146,35 @@ fn explain_covers_sharded_miss_path() {
         let mut shards: Vec<u64> = report.per_shard_us.iter().map(|(s, _)| *s).collect();
         shards.sort_unstable();
         assert_eq!(shards, vec![0, 1, 2, 3], "{}", kind.label());
+    }
+}
+
+#[test]
+fn explain_covers_distributed_miss_path() {
+    let data = dataset(6_000);
+    for kind in KINDS {
+        let server = DistributedGirServer::launch(
+            &data,
+            ScoringFunction::linear(D),
+            DistributedServerConfig {
+                data_shards: 2,
+                placement: Placement::Hash,
+                ..DistributedServerConfig::default()
+            },
+            Box::new(|_| Box::new(ThreadEndpoint::spawn())),
+        )
+        .expect("launch shard workers");
+        let out = server.run_batch(&[request(kind, &[0.55, 0.62, 0.48])]);
+        let report = assert_phases_cover_latency(&out.responses[0], kind.label());
+        // The same serve loop as in process: the RPC fan-out lives
+        // inside `compute`, and the result is admitted like any miss.
+        let names: Vec<&str> = report.phases.iter().map(|(n, _)| *n).collect();
+        assert!(
+            names.contains(&"admit"),
+            "{}: phases {names:?}",
+            kind.label()
+        );
+        server.shutdown();
     }
 }
 

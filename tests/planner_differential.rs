@@ -402,24 +402,21 @@ fn check_single_tree_servers_agree(seed: u64, method: Method, kind: RegionKind) 
 fn check_sharded_servers_agree(seed: u64, method: Method, kind: RegionKind) {
     let d = 3;
     let data = gir::datagen::synthetic(gir::datagen::Distribution::Independent, 600, d, seed);
-    let cfg = |force: Option<MissPath>| ShardedServerConfig {
+    let cfg = |force: Option<MissPath>| ServerConfig {
         threads: 1,
-        data_shards: 4,
-        placement: Placement::Hash,
         method,
         force_path: force,
-        ..ShardedServerConfig::default()
+        ..ServerConfig::default()
     };
     let scoring = ScoringFunction::linear(d);
-    let adaptive = ShardedGirServer::build(d, &data, scoring.clone(), cfg(None)).unwrap();
+    let build = |force: Option<MissPath>| {
+        let sharded = ShardedDataset::build(d, &data, 4, Placement::Hash).unwrap();
+        ShardedGirServer::new(sharded, scoring.clone(), cfg(force))
+    };
+    let adaptive = build(None);
     let forced: Vec<(MissPath, ShardedGirServer)> = MissPath::ALL
         .into_iter()
-        .map(|p| {
-            (
-                p,
-                ShardedGirServer::build(d, &data, scoring.clone(), cfg(Some(p))).unwrap(),
-            )
-        })
+        .map(|p| (p, build(Some(p))))
         .collect();
 
     let queries = zipfian_queries(32, d, 5, 1.2, 0.015, 0.05, seed ^ 0x5AAD);

@@ -31,7 +31,7 @@ use gir::core::{Method, RegionKind};
 use gir::prelude::*;
 use gir::query::naive_topk;
 use gir::serve::MaintenanceMode;
-use gir::shard::{ShardedDataset, ShardedServerConfig};
+use gir::shard::ShardedDataset;
 use std::sync::{Arc, Mutex};
 
 /// Serializes every pool-policy override in this binary. `threads = 0`
@@ -232,18 +232,14 @@ fn explain_attributes_all_shards_under_forced_pool() {
     let d = 3;
     let data = records(3_000, d, 0xE7);
     for kind in [RegionKind::Gir, RegionKind::GirStar] {
-        let server = ShardedGirServer::build(
-            d,
-            &data,
+        let server = ShardedGirServer::new(
+            ShardedDataset::build(d, &data, 4, Placement::Hash).unwrap(),
             ScoringFunction::linear(d),
-            ShardedServerConfig {
+            ServerConfig {
                 threads: 1,
-                data_shards: 4,
-                placement: Placement::Hash,
-                ..ShardedServerConfig::default()
+                ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let req = TopKRequest::new(vec![0.55, 0.62, 0.48], 6)
             .kind(kind)
             .explain();

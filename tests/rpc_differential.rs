@@ -37,11 +37,11 @@ use common::oracle::{
     assert_bit_identical, dataset_key, materialize, probe_requests, records, report_key, Op,
     SHARDINGS,
 };
-use common::rpc::{dist_cfg, faulty_factory, inproc_cfg, one_shot_faulty_factory, remote_cfg};
+use common::rpc::{dist_cfg, faulty_factory, inproc_server, one_shot_faulty_factory, remote_cfg};
 use gir::core::{Method, RegionKind};
 use gir::prelude::*;
 use gir::rpc::{DistributedGirServer, Fault, FaultAction, FaultPlan, RemoteShards};
-use gir::shard::{ShardedDataset, ShardedGirServer};
+use gir::shard::ShardedDataset;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -187,7 +187,7 @@ fn run_fault_case(
 ) {
     let ctx = format!("S={s} {p:?} fault={fault_kind}@{fault_shard}:{fault_call}");
     let scoring = ScoringFunction::linear(d);
-    let oracle = ShardedGirServer::build(d, records, scoring.clone(), inproc_cfg(s, p)).unwrap();
+    let oracle = inproc_server(d, records, scoring.clone(), s, p);
     let plan = build_plan(fault_kind, fault_shard % s, fault_call);
     let dist = DistributedGirServer::launch(
         records,
@@ -353,8 +353,7 @@ fn killed_worker_degrades_exactly_one_response() {
     let s = 4;
     let scoring = ScoringFunction::linear(d);
     let data = records(160, d, 0x1CE0);
-    let oracle =
-        ShardedGirServer::build(d, &data, scoring.clone(), inproc_cfg(s, Placement::Hash)).unwrap();
+    let oracle = inproc_server(d, &data, scoring.clone(), s, Placement::Hash);
 
     // Warm probes, then kill shard 2 on its next query call. Each
     // *miss* costs shard 2 exactly two query calls (TopK + Phase2),

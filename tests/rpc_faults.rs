@@ -13,6 +13,9 @@
 //!   must not manufacture request traffic);
 //! * rejoin is one `Load` RPC (+ WAL suffix) and one `rpc.rejoins`
 //!   tick, after which the same query succeeds;
+//! * a snapshot roll that fails after its batch was broadcast is
+//!   counted, not returned: the cache is reconciled with the applied
+//!   batch, so no stale hit survives the failure;
 //! * through all of it the liveness invariant `metrics_check` enforces
 //!   on CI snapshots holds: `requests = responses + failures` and
 //!   `retries ≤ requests`.
@@ -23,9 +26,12 @@
 mod common;
 
 use common::oracle::{dataset_key, probe_requests, records, report_key};
-use common::rpc::{apply_kill_factory, dist_cfg, inproc_cfg, one_shot_faulty_factory};
+use common::rpc::{
+    apply_kill_factory, cut_kill_factory, dist_cfg, inproc_server, one_shot_faulty_factory,
+};
 use gir::obs::rpc::RpcCounters;
 use gir::prelude::*;
+use gir::query::naive_topk;
 use gir::rpc::{DistributedGirServer, Fault, FaultAction, FaultPlan};
 use gir::shard::ShardedGirServer;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -164,13 +170,7 @@ fn single_delay_is_absorbed_by_retry() {
         action: FaultAction::Delay,
     }]);
     let (data, dist) = launch(2, 0xFA02, fplan);
-    let oracle = ShardedGirServer::build(
-        3,
-        &data,
-        ScoringFunction::linear(3),
-        inproc_cfg(2, Placement::Hash),
-    )
-    .unwrap();
+    let oracle = inproc_server(3, &data, ScoringFunction::linear(3), 2, Placement::Hash);
     let req = probe_requests(&[vec![0.9, 0.15, 0.4]], 4);
     let base = snap(&c);
     let out = dist.run_batch(&req[..1]);
@@ -260,13 +260,7 @@ fn apply_fault_fixture(
         apply_kill_factory(1, kills.clone()),
     )
     .unwrap();
-    let oracle = ShardedGirServer::build(
-        d,
-        &data,
-        ScoringFunction::linear(d),
-        inproc_cfg(s, Placement::Hash),
-    )
-    .unwrap();
+    let oracle = inproc_server(d, &data, ScoringFunction::linear(d), s, Placement::Hash);
     // Three batches: inserts spread across shards plus a delete each,
     // derived purely from `data` so both sides see identical streams.
     let mut next_id = 7_000_000u64;
@@ -275,8 +269,12 @@ fn apply_fault_fixture(
             let mut batch: Vec<Update> = (0..6)
                 .map(|i| {
                     let src = &data[(b * 17 + i * 5) % data.len()];
-                    let attrs: Vec<f64> =
-                        src.attrs.coords().iter().map(|x| (x * 0.83) + 0.05).collect();
+                    let attrs: Vec<f64> = src
+                        .attrs
+                        .coords()
+                        .iter()
+                        .map(|x| (x * 0.83) + 0.05)
+                        .collect();
                     let rec = Record::new(next_id, attrs);
                     next_id += 1;
                     Update::Insert(rec)
@@ -400,6 +398,70 @@ fn apply_failure_with_failed_rejoin_leaves_shard_dead_then_converges() {
         dataset_key(oracle.records_snapshot().unwrap()),
         "record multiset diverged after recovery"
     );
+    assert_live(&c);
+    dist.shutdown();
+}
+
+/// A snapshot roll that fails *after* its batch reached every shard:
+/// shard 1 dies on the roll's `Cut` at the epoch-2 boundary, right
+/// after a dominating insert. The batch landed, so the cache must be
+/// reconciled with it — before the fix the failed roll surfaced as an
+/// apply error that skipped reconciliation, and every probe below was a
+/// stale hit missing the new record. The roll failure itself is
+/// non-fatal: counted, retried at the next boundary.
+#[test]
+fn failed_snapshot_roll_still_reconciles_the_cache() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let c = RpcCounters::global();
+    let d = 3;
+    let mut live = records(120, d, 0xC07A);
+    let kills = Arc::new(AtomicU32::new(0));
+    let dist = DistributedGirServer::launch(
+        &live,
+        ScoringFunction::linear(d),
+        dist_cfg(2, Placement::Hash),
+        cut_kill_factory(1, kills.clone()),
+    )
+    .unwrap();
+    let reqs: Vec<TopKRequest> = (0..20)
+        .map(|i| {
+            let j = 0.0005 * (i % 11) as f64;
+            TopKRequest::new(vec![0.55 + j, 0.6 - j, 0.45 + j / 2.0], 5)
+        })
+        .collect();
+
+    // Epoch 1: an ordinary batch (no roll), then warm the cache.
+    let filler = Record::new(8_000_000, vec![0.3, 0.2, 0.1]);
+    dist.apply_updates(&[Update::Insert(filler.clone())])
+        .unwrap();
+    live.push(filler);
+    let warm = dist.run_batch(&reqs);
+    assert!(warm.stats.hits > 0, "jittered probes must hit the cache");
+
+    // Epoch 2 is a snapshot boundary (`snapshot_every: 2`): shard 1
+    // dies on the roll's Cut.
+    kills.store(1, Ordering::SeqCst);
+    let champion = Record::new(8_000_001, vec![0.99, 0.99, 0.99]);
+    let applied = dist.apply_updates(&[Update::Insert(champion.clone())]);
+    live.push(champion);
+
+    // Bring the shard back (snapshot + WAL suffix) so misses compute;
+    // every answer must then be the exact top-k of the live set.
+    assert_eq!(dist.rejoin_dead().unwrap(), 1);
+    let out = dist.run_batch(&reqs);
+    for (i, (req, resp)) in reqs.iter().zip(&out.responses).enumerate() {
+        assert!(!resp.failed, "probe {i} failed: {:?}", resp.error);
+        let truth = naive_topk(&live, dist.scoring(), &req.weights, req.k);
+        assert_eq!(
+            resp.ids,
+            truth.ids(),
+            "probe {i}: stale answer after the failed roll (from_cache={})",
+            resp.from_cache
+        );
+    }
+    let report = applied.expect("a failed roll must not fail the applied batch");
+    assert_eq!(report.inserted, 1);
+    assert_eq!(dist.snapshot_failures(), 1, "the failed roll is counted");
     assert_live(&c);
     dist.shutdown();
 }
